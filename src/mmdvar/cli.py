@@ -47,13 +47,14 @@ def load_csv(path: str) -> np.ndarray:
     """Read a rectangular numeric CSV into an m x d matrix, row order preserved.
 
     A row whose first cell does not parse as a number is treated as a header
-    and skipped.  Ragged rows and non-numeric cells elsewhere are errors.
+    and skipped.  Ragged rows, and non-numeric or non-finite cells elsewhere,
+    are errors.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    rows: list[list[float]] = []
+    rows: dict[int, list[float]] = {}  # file line number -> cells
     width: int | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -74,10 +75,14 @@ def load_csv(path: str) -> np.ndarray:
             width = len(vals)
         elif len(vals) != width:
             raise InputError(f"{path}: ragged row {lineno}")
-        rows.append(vals)
+        rows[lineno] = vals
     if not rows:
         raise InputError(f"{path}: empty file (no data rows)")
-    return np.array(rows, dtype=np.float64)
+    data = np.array(list(rows.values()), dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        raise InputError(f"{path}: non-finite cell {bad[0, 1] + 1} in row {list(rows)[bad[0, 0]]}")
+    return data
 
 
 def _kernel_from_args(args: argparse.Namespace) -> KernelSpec:
@@ -119,8 +124,9 @@ def _flatten(payload: Any, prefix: str = "") -> list[tuple[str, Any]]:
 
 
 def _emit(payload: dict, fmt: str) -> None:
+    text = json.dumps(payload, allow_nan=False)  # raises on NaN or inf, in either format
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload) + "\n")
+        sys.stdout.write(text + "\n")
         return
     for key, value in _flatten(payload):
         if isinstance(value, float):
@@ -149,11 +155,11 @@ def cmd_mmd(args: argparse.Namespace) -> int:
     try:
         g = build_gram_pack(x, y, spec=spec)
         rep = full_report(g, floor_epsilon=args.floor_eps)
-    except ValueError as exc:
+        _emit({"m": g.m, "d": g.d, "kernel": _kernel_echo(g.spec),
+               "mmd2": rep.mmd2_xy, "vhat": rep.vhat,
+               "vhat_floored": rep.vhat_floored, "z_stat": rep.z_stat}, args.format)
+    except (ValueError, OverflowError) as exc:
         return _fail(EXIT_PRECONDITION, str(exc))
-    _emit({"m": g.m, "d": g.d, "kernel": _kernel_echo(g.spec),
-           "mmd2": rep.mmd2_xy, "vhat": rep.vhat,
-           "vhat_floored": rep.vhat_floored, "z_stat": rep.z_stat}, args.format)
     return EXIT_OK
 
 
@@ -170,13 +176,13 @@ def cmd_relmmd(args: argparse.Namespace) -> int:
     try:
         g = build_gram_pack(x, y, z, spec=spec)
         rep = full_report(g, floor_epsilon=args.floor_eps)
-    except ValueError as exc:
+        # positive diff: Y is farther from X than Z is
+        _emit({"m": g.m, "d": g.d, "kernel": _kernel_echo(g.spec),
+               "mmd2_xy": rep.mmd2_xy, "mmd2_xz": rep.mmd2_xz, "diff": rep.diff,
+               "nuhat": rep.nuhat, "nuhat_floored": rep.nuhat_floored,
+               "z_stat": rep.z_stat}, args.format)
+    except (ValueError, OverflowError) as exc:
         return _fail(EXIT_PRECONDITION, str(exc))
-    # positive diff: Y is farther from X than Z is
-    _emit({"m": g.m, "d": g.d, "kernel": _kernel_echo(g.spec),
-           "mmd2_xy": rep.mmd2_xy, "mmd2_xz": rep.mmd2_xz, "diff": rep.diff,
-           "nuhat": rep.nuhat, "nuhat_floored": rep.nuhat_floored,
-           "z_stat": rep.z_stat}, args.format)
     return EXIT_OK
 
 

@@ -18,7 +18,6 @@ number (e.g. for studentisation) should use the floored copies provided by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import math
 
@@ -231,99 +230,6 @@ def mmd2_diff_var(g: GramPack) -> float:
         - 4.0 * m2 * (cy.frob_sq + cz.frob_sq) / (m * m * m1 ** 3)
         - 2.0 * (wy.frob_sq + wz.frob_sq) / (m * m1 * m2 * m3)
     )
-
-
-# ---------------------------------------------------------------------------
-# term registry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TermSpec:
-    """One estimable population quantity: label, preconditions, estimator."""
-
-    label: str
-    min_m: int
-    needs_z: bool
-    fn: Callable[[GramPack], float]
-
-
-#: Every sub-term the variance expressions are built from, keyed by a short
-#: id.  Letters name populations and orientation: ``ephi2_yx`` estimates
-#: E[<phi(Y), mu_x>^2], ``prod_xx_xy`` estimates <mu_x, mu_x><mu_x, mu_y>.
-TERMS: dict[str, TermSpec] = {
-    "mu_xx": TermSpec("<mu_x, mu_x>", 2, False, lambda g: mu_dot(g, "x", "x")),
-    "mu_yy": TermSpec("<mu_y, mu_y>", 2, False, lambda g: mu_dot(g, "y", "y")),
-    "mu_zz": TermSpec("<mu_z, mu_z>", 2, True, lambda g: mu_dot(g, "z", "z")),
-    "mu_xy": TermSpec("<mu_x, mu_y>", 2, False, lambda g: mu_dot(g, "x", "y")),
-    "mu_xz": TermSpec("<mu_x, mu_z>", 2, True, lambda g: mu_dot(g, "x", "z")),
-    "mu_sq_xx": TermSpec("<mu_x, mu_x>^2", 4, False, lambda g: mu_dot_sq(g, "x", "x")),
-    "mu_sq_yy": TermSpec("<mu_y, mu_y>^2", 4, False, lambda g: mu_dot_sq(g, "y", "y")),
-    "mu_sq_zz": TermSpec("<mu_z, mu_z>^2", 4, True, lambda g: mu_dot_sq(g, "z", "z")),
-    "mu_sq_xy": TermSpec("<mu_x, mu_y>^2", 2, False, lambda g: mu_dot_sq(g, "x", "y")),
-    "mu_sq_xz": TermSpec("<mu_x, mu_z>^2", 2, True, lambda g: mu_dot_sq(g, "x", "z")),
-    "prod_xx_xy": TermSpec("<mu_x, mu_x><mu_x, mu_y>", 3, False,
-                           lambda g: mu_dot_prod_own(g, "x", "y")),
-    "prod_yy_yx": TermSpec("<mu_y, mu_y><mu_y, mu_x>", 3, False,
-                           lambda g: mu_dot_prod_own(g, "y", "x")),
-    "prod_zz_zx": TermSpec("<mu_z, mu_z><mu_z, mu_x>", 3, True,
-                           lambda g: mu_dot_prod_own(g, "z", "x")),
-    "prod_xy_xz": TermSpec("<mu_x, mu_y><mu_x, mu_z>", 2, True, mu_dot_prod_shared),
-    "ephi2_xx": TermSpec("E[<phi(X), mu_x>^2]", 3, False, lambda g: phi_mu_sq(g, "x", "x")),
-    "ephi2_yy": TermSpec("E[<phi(Y), mu_y>^2]", 3, False, lambda g: phi_mu_sq(g, "y", "y")),
-    "ephi2_zz": TermSpec("E[<phi(Z), mu_z>^2]", 3, True, lambda g: phi_mu_sq(g, "z", "z")),
-    "ephi2_xy": TermSpec("E[<phi(X), mu_y>^2]", 2, False, lambda g: phi_mu_sq(g, "x", "y")),
-    "ephi2_yx": TermSpec("E[<phi(Y), mu_x>^2]", 2, False, lambda g: phi_mu_sq(g, "y", "x")),
-    "ephi2_xz": TermSpec("E[<phi(X), mu_z>^2]", 2, True, lambda g: phi_mu_sq(g, "x", "z")),
-    "ephi2_zx": TermSpec("E[<phi(Z), mu_x>^2]", 2, True, lambda g: phi_mu_sq(g, "z", "x")),
-    "ephi_xx_xy": TermSpec("E[<phi(X), mu_x><phi(X), mu_y>]", 2, False,
-                           lambda g: phi_mu_prod_own(g, "x", "y")),
-    "ephi_yy_yx": TermSpec("E[<phi(Y), mu_y><phi(Y), mu_x>]", 2, False,
-                           lambda g: phi_mu_prod_own(g, "y", "x")),
-    "ephi_zz_zx": TermSpec("E[<phi(Z), mu_z><phi(Z), mu_x>]", 2, True,
-                           lambda g: phi_mu_prod_own(g, "z", "x")),
-    "ephi_xy_xz": TermSpec("E[<phi(X), mu_y><phi(X), mu_z>]", 1, True, phi_mu_prod_shared),
-    "ek2_xx": TermSpec("E[k(X, X')^2]", 2, False, lambda g: k2_mean(g, "x", "x")),
-    "ek2_yy": TermSpec("E[k(Y, Y')^2]", 2, False, lambda g: k2_mean(g, "y", "y")),
-    "ek2_zz": TermSpec("E[k(Z, Z')^2]", 2, True, lambda g: k2_mean(g, "z", "z")),
-    "ek2_xy": TermSpec("E[k(X, Y)^2]", 2, False, lambda g: k2_mean(g, "x", "y")),
-    "ek2_xz": TermSpec("E[k(X, Z)^2]", 2, True, lambda g: k2_mean(g, "x", "z")),
-}
-
-TWO_SAMPLE_TERM_IDS: tuple[str, ...] = tuple(t for t, s in TERMS.items() if not s.needs_z)
-THREE_SAMPLE_TERM_IDS: tuple[str, ...] = tuple(TERMS)
-
-
-def estimate_term(g: GramPack, term_id: str) -> float:
-    """Evaluate one registered sub-term estimator by id."""
-    try:
-        spec = TERMS[term_id]
-    except KeyError:
-        raise ValueError(f"unknown term id {term_id!r}") from None
-    if spec.needs_z and not g.has_z:
-        raise ValueError(f"term {term_id!r} requires a z sample")
-    if g.m < spec.min_m:
-        raise ValueError(f"term {term_id!r} requires m >= {spec.min_m}, got m = {g.m}")
-    return spec.fn(g)
-
-
-class SubTermEstimates(dict):
-    """Mapping from term id to its unbiased estimate.
-
-    Holds every registered term whose minimum sample size is met; terms that
-    need a z sample appear only when the GramPack has one.
-    """
-
-
-def sub_term_estimates(g: GramPack) -> SubTermEstimates:
-    """All sub-term estimates available for this GramPack."""
-    out = SubTermEstimates()
-    for term_id, spec in TERMS.items():
-        if spec.needs_z and not g.has_z:
-            continue
-        if g.m < spec.min_m:
-            continue
-        out[term_id] = spec.fn(g)
-    return out
 
 
 # ---------------------------------------------------------------------------

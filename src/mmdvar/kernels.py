@@ -10,6 +10,7 @@ once; all estimators are then O(m) reductions over these caches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -160,6 +161,8 @@ def median_heuristic(pooled: np.ndarray) -> float:
     pooled = _as_sample(pooled, "pooled")
     if pooled.shape[0] < 2:
         raise ValueError("median heuristic needs at least 2 rows")
+    if not np.isfinite(pooled).all():
+        raise ValueError("median heuristic needs finite rows")
     return _median_distance_from_sq([pdist(pooled, "sqeuclidean")])
 
 
@@ -190,6 +193,8 @@ def _stats(k: np.ndarray, symmetric: bool = False) -> GramStats:
     col_sums = row_sums if symmetric else k.sum(axis=0)
     total = float(row_sums.sum())
     frob_sq = float(np.einsum("ij,ij->", k, k))
+    if not (math.isfinite(total) and math.isfinite(frob_sq)):
+        raise ValueError("kernel matrix is not finite (non-finite input or overflow)")
     trace = float(np.trace(k))
     row_sums.setflags(write=False)
     col_sums.setflags(write=False)

@@ -19,65 +19,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .estimators import TERMS, mmd2_diff_var, mmd2_u, mmd2_var
-from .kernels import GramPack, KernelSpec, build_gram_pack
-from .oracle import (
-    GaussianLinearModel,
-    PopulationMoments,
-    gaussian_draw,
-    gaussian_linear_moments,
-    population_diff_var,
-    population_mmd2,
-    population_mmd2_var,
-)
+from .kernels import KernelSpec, build_gram_pack
+from .oracle import TARGETS, GaussianLinearModel, Target, gaussian_draw, gaussian_linear_moments
 
 _LINEAR = KernelSpec.linear()
 
 MIN_REPLICATES = 1_000
 
-#: Statistic-level targets beyond the registered sub-terms:
-#: (estimator, minimum m, needs z).
-_STATS: dict[str, tuple[Callable[[GramPack], float], int, bool]] = {
-    "mmd2": (lambda g: mmd2_u(g, "xy"), 2, False),
-    "mmd2_xz": (lambda g: mmd2_u(g, "xz"), 2, True),
-    "diff": (lambda g: mmd2_u(g, "xy") - mmd2_u(g, "xz"), 2, True),
-    "mmd2_var": (mmd2_var, 4, False),
-    "mmd2_diff_var": (mmd2_diff_var, 4, True),
-}
-
 
 def target_ids(with_z: bool) -> tuple[str, ...]:
     """All valid target names: headline statistics plus sub-term ids."""
-    stats = tuple(t for t, (_, _, z) in _STATS.items() if with_z or not z)
-    terms = tuple(t for t, s in TERMS.items() if with_z or not s.needs_z)
-    return stats + terms
+    return tuple(t for t, row in TARGETS.items() if with_z or not row.needs_z)
 
 
-def _target_info(target: str) -> tuple[Callable[[GramPack], float], int, bool]:
-    if target in _STATS:
-        return _STATS[target]
-    if target in TERMS:
-        spec = TERMS[target]
-        return spec.fn, spec.min_m, spec.needs_z
-    raise ValueError(f"unknown target {target!r}")
-
-
-def _truth(target: str, mom: PopulationMoments, m: int) -> float:
-    if target == "mmd2":
-        return population_mmd2(mom, "xy")
-    if target == "mmd2_xz":
-        return population_mmd2(mom, "xz")
-    if target == "diff":
-        return population_mmd2(mom, "xy") - population_mmd2(mom, "xz")
-    if target == "mmd2_var":
-        return population_mmd2_var(mom, m)
-    if target == "mmd2_diff_var":
-        return population_diff_var(mom, m)
-    return mom.term(target)
+def _target_info(target: str) -> Target:
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r}")
+    return TARGETS[target]
 
 
 @dataclass(frozen=True)
@@ -92,11 +53,7 @@ class McConfig:
     z_threshold: float = 4.0
 
     def __post_init__(self) -> None:
-        seen: list[str] = []
-        for t in self.targets:
-            if t not in seen:
-                seen.append(t)
-        object.__setattr__(self, "targets", tuple(seen))
+        object.__setattr__(self, "targets", tuple(dict.fromkeys(self.targets)))
 
     def validate(self) -> None:
         if self.replicates < MIN_REPLICATES:
@@ -109,7 +66,7 @@ class McConfig:
         if not self.z_threshold > 0:
             raise ValueError("z_threshold must be positive")
         for t in self.targets:
-            _, min_m, needs_z = _target_info(t)
+            _, min_m, needs_z, *_ = _target_info(t)
             if self.m < min_m:
                 raise ValueError(f"target {t!r} requires m >= {min_m}, got m = {self.m}")
             if needs_z and not self.model.has_z:
@@ -201,7 +158,7 @@ def run_unbiasedness(config: McConfig) -> McReport:
         v = values[t]
         mean = float(v.mean())
         se = float(v.std(ddof=1) / math.sqrt(n))
-        entries[t] = _entry(mean, se, _truth(t, mom, config.m), config.z_threshold)
+        entries[t] = _entry(mean, se, TARGETS[t].truth(mom, config.m), config.z_threshold)
     return McReport(kind="unbiasedness", entries=entries, config=config.echo())
 
 
@@ -222,15 +179,13 @@ def run_variance_tracking(config: McConfig) -> McReport:
     if config.m < 4:
         raise ValueError("variance tracking requires m >= 4")
     with_z = config.model.has_z
-    tracked = ("mmd2", "diff") if with_z else ("mmd2",)
-    values = _replicate_values(config, tracked, with_z)
+    # each tracked statistic, and the target whose truth is its variance
+    tracked = {"mmd2": "mmd2_var", "diff": "mmd2_diff_var"} if with_z else {"mmd2": "mmd2_var"}
+    values = _replicate_values(config, tuple(tracked), with_z)
     mom = gaussian_linear_moments(config.model)
-    truths = {"mmd2": population_mmd2_var(mom, config.m)}
-    if with_z:
-        truths["diff"] = population_diff_var(mom, config.m)
     entries = {}
-    for t in tracked:
+    for t, var_target in tracked.items():
         v = values[t]
         entries[t] = _entry(float(np.var(v, ddof=1)), _jackknife_var_se(v),
-                            truths[t], config.z_threshold)
+                            TARGETS[var_target].truth(mom, config.m), config.z_threshold)
     return McReport(kind="variance_tracking", entries=entries, config=config.echo())

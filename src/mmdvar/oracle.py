@@ -1,8 +1,9 @@
 """Independent ground truth for everything in :mod:`mmdvar.estimators`.
 
-Three kinds of oracle live here:
+:data:`TARGETS` registers each verification target once: its estimator,
+minimum m, need for a z sample, and the oracles it must agree with:
 
-* nested-loop twins of every sub-term estimator, written as literal sums
+* nested-loop twins of the sub-term estimators, written as literal sums
   over explicitly enumerated tuples of distinct indices with no matrix
   shortcuts (O(m^4) worst case, guarded at m <= 30);
 * the population variance of the squared-MMD U-statistic and of the
@@ -18,11 +19,15 @@ Three kinds of oracle live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
+from .estimators import (
+    k2_mean, mmd2_diff_var, mmd2_u, mmd2_var, mu_dot, mu_dot_prod_own, mu_dot_prod_shared,
+    mu_dot_sq, phi_mu_prod_own, phi_mu_prod_shared, phi_mu_sq,
+)
 from .kernels import GramPack
 
 ORACLE_MAX_M = 30  # the quartic loops get expensive fast
@@ -30,10 +35,9 @@ ORACLE_MAX_M = 30  # the quartic loops get expensive fast
 Pair = tuple[str, str]
 
 
-def _guard(g: GramPack, term_id: str) -> int:
+def _guard(g: GramPack) -> None:
     if g.m > ORACLE_MAX_M:
         raise ValueError(f"oracle refuses m = {g.m} > {ORACLE_MAX_M} (O(m^4) loops)")
-    return g.m
 
 
 def _ff(n: int, k: int) -> int:
@@ -214,68 +218,11 @@ def _loop_k2_cross(k: list[list[float]], m: int) -> float:
     return tot / (m * m)
 
 
-def _within(fn, pop):
-    return lambda g: fn(_mat(g, pop, pop), g.m)
-
-
-def _cross(fn, a, b):
-    return lambda g: fn(_mat(g, a, b), g.m)
-
-
-def _two(fn, wa, wb, ca, cb):
-    return lambda g: fn(_mat(g, wa, wb), _mat(g, ca, cb), g.m)
-
-
-ORACLE_TERMS: dict[str, Callable[[GramPack], float]] = {
-    "mu_xx": _within(_loop_mu_within, "x"),
-    "mu_yy": _within(_loop_mu_within, "y"),
-    "mu_zz": _within(_loop_mu_within, "z"),
-    "mu_xy": _cross(_loop_mu_cross, "x", "y"),
-    "mu_xz": _cross(_loop_mu_cross, "x", "z"),
-    "mu_sq_xx": _within(_loop_mu_sq_within, "x"),
-    "mu_sq_yy": _within(_loop_mu_sq_within, "y"),
-    "mu_sq_zz": _within(_loop_mu_sq_within, "z"),
-    "mu_sq_xy": _cross(_loop_mu_sq_cross, "x", "y"),
-    "mu_sq_xz": _cross(_loop_mu_sq_cross, "x", "z"),
-    "prod_xx_xy": _two(_loop_prod_own, "x", "x", "x", "y"),
-    "prod_yy_yx": _two(_loop_prod_own, "y", "y", "y", "x"),
-    "prod_zz_zx": _two(_loop_prod_own, "z", "z", "z", "x"),
-    "prod_xy_xz": _two(_loop_prod_shared, "x", "y", "x", "z"),
-    "ephi2_xx": _within(_loop_phi_sq_within, "x"),
-    "ephi2_yy": _within(_loop_phi_sq_within, "y"),
-    "ephi2_zz": _within(_loop_phi_sq_within, "z"),
-    "ephi2_xy": _cross(_loop_phi_sq_cross, "x", "y"),
-    "ephi2_yx": _cross(_loop_phi_sq_cross, "y", "x"),
-    "ephi2_xz": _cross(_loop_phi_sq_cross, "x", "z"),
-    "ephi2_zx": _cross(_loop_phi_sq_cross, "z", "x"),
-    "ephi_xx_xy": _two(_loop_phi_prod_own, "x", "x", "x", "y"),
-    "ephi_yy_yx": _two(_loop_phi_prod_own, "y", "y", "y", "x"),
-    "ephi_zz_zx": _two(_loop_phi_prod_own, "z", "z", "z", "x"),
-    "ephi_xy_xz": _two(_loop_phi_prod_shared, "x", "y", "x", "z"),
-    "ek2_xx": _within(_loop_k2_within, "x"),
-    "ek2_yy": _within(_loop_k2_within, "y"),
-    "ek2_zz": _within(_loop_k2_within, "z"),
-    "ek2_xy": _cross(_loop_k2_cross, "x", "y"),
-    "ek2_xz": _cross(_loop_k2_cross, "x", "z"),
-}
-
-
-def oracle_term(g: GramPack, term_id: str) -> float:
-    """Nested-loop evaluation of one sub-term; the ground truth the matrix
-    estimators are checked against."""
-    try:
-        fn = ORACLE_TERMS[term_id]
-    except KeyError:
-        raise ValueError(f"unknown term id {term_id!r}") from None
-    _guard(g, term_id)
-    return fn(g)
-
-
 def oracle_mmd2(g: GramPack, pair: str = "xy") -> float:
     """Double-loop squared-MMD U-statistic (no cached sums)."""
     if pair not in ("xy", "xz"):
         raise ValueError(f"pair must be 'xy' or 'xz', got {pair!r}")
-    _guard(g, "mmd2")
+    _guard(g)
     m = g.m
     b = pair[1]
     kaa = _mat(g, "x", "x")
@@ -311,35 +258,19 @@ class PopulationMoments:
     phi_prod: dict[tuple[str, str, str], float]
     k2: dict[Pair, float]
 
-    def _sym(self, table: dict[Pair, float], a: str, b: str) -> float:
-        if (a, b) in table:
-            return table[(a, b)]
-        return table[(b, a)]
+    def __post_init__(self) -> None:
+        for name, table in (("mu", self.mu), ("k2", self.k2)):
+            object.__setattr__(self, name, {**{(b, a): v for (a, b), v in table.items()}, **table})
 
     def term(self, term_id: str) -> float:
-        """Population value of a registered term id (squares and products of
-        mean-embedding inner products are formed from the first powers)."""
-        kind, _, pops = term_id.partition("_")
-        if kind == "mu" and not pops.startswith("sq_"):
-            return self._sym(self.mu, pops[0], pops[1])
-        if kind == "mu":  # mu_sq_ab
-            v = self._sym(self.mu, pops[3], pops[4])
-            return v * v
-        if kind == "prod":  # prod_ab_cd
-            return self._sym(self.mu, pops[0], pops[1]) * self._sym(self.mu, pops[3], pops[4])
-        if kind == "ephi2":
-            return self.phi_sq[(pops[0], pops[1])]
-        if kind == "ephi":  # ephi_ab_ac with shared first letter
-            return self.phi_prod[(pops[0], pops[1], pops[4])]
-        if kind == "ek2":
-            return self._sym(self.k2, pops[0], pops[1])
-        raise ValueError(f"unknown term id {term_id!r}")
+        """Population value of a sub-term id."""
+        return _term_row(term_id).truth(self, None)
 
 
 def population_mmd2(mom: PopulationMoments, pair: str = "xy") -> float:
     """Population squared MMD between two of the modelled populations."""
     a, b = pair[0], pair[1]
-    return mom.term(f"mu_{a}{a}") + mom.term(f"mu_{b}{b}") - 2.0 * mom.term(f"mu_{a}{b}")
+    return mom.mu[a, a] + mom.mu[b, b] - 2.0 * mom.mu[a, b]
 
 
 def mmd2_var_from_terms(term: Callable[[str], float], m: int) -> float:
@@ -442,6 +373,139 @@ def u_stat_variance(first_order: float, second_order: float, m: int) -> float:
     if m < 2:
         raise ValueError("variance formula needs m >= 2")
     return 2.0 * (2 * (m - 2) * first_order + second_order) / (m * (m - 1))
+
+
+# ---------------------------------------------------------------------------
+# the verification targets
+# ---------------------------------------------------------------------------
+
+class Target(NamedTuple):
+    """One verification target; the Monte Carlo harness reads it by position."""
+
+    estimate: Callable[[GramPack], float]  # the O(m^2) estimator
+    min_m: int
+    needs_z: bool
+    loop: Callable[[GramPack], float] | None  # nested-loop twin (sub-terms only)
+    truth: Callable[[PopulationMoments, int | None], float]  # population value at m
+
+
+def _loop_ab(within, cross):
+    return lambda g, a, b: (within if a == b else cross)(_mat(g, a, b), g.m)
+
+
+#: Term families: (estimator, loop twin, population value), each taking a row's
+#: populations (a, b).  "own" products pair a with a and b; "shared" ones X with a and b.
+_FAMILIES = {
+    "mu": (mu_dot, _loop_ab(_loop_mu_within, _loop_mu_cross),
+           lambda mom, a, b: mom.mu[a, b]),
+    "mu_sq": (mu_dot_sq, _loop_ab(_loop_mu_sq_within, _loop_mu_sq_cross),
+              lambda mom, a, b: mom.mu[a, b] * mom.mu[a, b]),
+    "prod_own": (mu_dot_prod_own,
+                 lambda g, a, b: _loop_prod_own(_mat(g, a, a), _mat(g, a, b), g.m),
+                 lambda mom, a, b: mom.mu[a, a] * mom.mu[a, b]),
+    "prod_shared": (lambda g, a, b: mu_dot_prod_shared(g),
+                    lambda g, a, b: _loop_prod_shared(_mat(g, "x", a), _mat(g, "x", b), g.m),
+                    lambda mom, a, b: mom.mu["x", a] * mom.mu["x", b]),
+    "ephi2": (phi_mu_sq, _loop_ab(_loop_phi_sq_within, _loop_phi_sq_cross),
+              lambda mom, a, b: mom.phi_sq[a, b]),
+    "ephi_own": (phi_mu_prod_own,
+                 lambda g, a, b: _loop_phi_prod_own(_mat(g, a, a), _mat(g, a, b), g.m),
+                 lambda mom, a, b: mom.phi_prod[a, a, b]),
+    "ephi_shared": (lambda g, a, b: phi_mu_prod_shared(g),
+                    lambda g, a, b: _loop_phi_prod_shared(_mat(g, "x", a), _mat(g, "x", b), g.m),
+                    lambda mom, a, b: mom.phi_prod["x", a, b]),
+    "ek2": (k2_mean, _loop_ab(_loop_k2_within, _loop_k2_cross),
+            lambda mom, a, b: mom.k2[a, b]),
+}
+
+
+def _term(family: str, a: str, b: str, min_m: int) -> Target:
+    estimate, loop, truth = _FAMILIES[family]
+    return Target(lambda g: estimate(g, a, b), min_m, "z" in (a, b),
+                  lambda g: loop(g, a, b), lambda mom, m: truth(mom, a, b))
+
+
+#: Every sub-term the variance expressions are built from, as
+#: (family, a, b, min_m).  Ids spell populations and orientation:
+#: ``ephi2_yx`` is E[<phi(Y), mu_x>^2], ``prod_xx_xy`` is
+#: <mu_x, mu_x><mu_x, mu_y>.
+TERMS: dict[str, Target] = {t: _term(*row) for t, row in {
+    "mu_xx": ("mu", "x", "x", 2),
+    "mu_yy": ("mu", "y", "y", 2),
+    "mu_zz": ("mu", "z", "z", 2),
+    "mu_xy": ("mu", "x", "y", 2),
+    "mu_xz": ("mu", "x", "z", 2),
+    "mu_sq_xx": ("mu_sq", "x", "x", 4),
+    "mu_sq_yy": ("mu_sq", "y", "y", 4),
+    "mu_sq_zz": ("mu_sq", "z", "z", 4),
+    "mu_sq_xy": ("mu_sq", "x", "y", 2),
+    "mu_sq_xz": ("mu_sq", "x", "z", 2),
+    "prod_xx_xy": ("prod_own", "x", "y", 3),
+    "prod_yy_yx": ("prod_own", "y", "x", 3),
+    "prod_zz_zx": ("prod_own", "z", "x", 3),
+    "prod_xy_xz": ("prod_shared", "y", "z", 2),
+    "ephi2_xx": ("ephi2", "x", "x", 3),
+    "ephi2_yy": ("ephi2", "y", "y", 3),
+    "ephi2_zz": ("ephi2", "z", "z", 3),
+    "ephi2_xy": ("ephi2", "x", "y", 2),
+    "ephi2_yx": ("ephi2", "y", "x", 2),
+    "ephi2_xz": ("ephi2", "x", "z", 2),
+    "ephi2_zx": ("ephi2", "z", "x", 2),
+    "ephi_xx_xy": ("ephi_own", "x", "y", 2),
+    "ephi_yy_yx": ("ephi_own", "y", "x", 2),
+    "ephi_zz_zx": ("ephi_own", "z", "x", 2),
+    "ephi_xy_xz": ("ephi_shared", "y", "z", 1),
+    "ek2_xx": ("ek2", "x", "x", 2),
+    "ek2_yy": ("ek2", "y", "y", 2),
+    "ek2_zz": ("ek2", "z", "z", 2),
+    "ek2_xy": ("ek2", "x", "y", 2),
+    "ek2_xz": ("ek2", "x", "z", 2),
+}.items()}
+
+TWO_SAMPLE_TERM_IDS: tuple[str, ...] = tuple(t for t, r in TERMS.items() if not r.needs_z)
+THREE_SAMPLE_TERM_IDS: tuple[str, ...] = tuple(TERMS)
+
+#: Every Monte Carlo target: the headline statistics, then the sub-terms.
+TARGETS: dict[str, Target] = {
+    "mmd2": Target(lambda g: mmd2_u(g, "xy"), 2, False, None,
+                   lambda mom, m: population_mmd2(mom, "xy")),
+    "mmd2_xz": Target(lambda g: mmd2_u(g, "xz"), 2, True, None,
+                      lambda mom, m: population_mmd2(mom, "xz")),
+    "diff": Target(lambda g: mmd2_u(g, "xy") - mmd2_u(g, "xz"), 2, True, None,
+                   lambda mom, m: population_mmd2(mom, "xy") - population_mmd2(mom, "xz")),
+    "mmd2_var": Target(mmd2_var, 4, False, None, population_mmd2_var),
+    "mmd2_diff_var": Target(mmd2_diff_var, 4, True, None, population_diff_var),
+    **TERMS,
+}
+
+
+def _term_row(term_id: str) -> Target:
+    if term_id not in TERMS:
+        raise ValueError(f"unknown term id {term_id!r}")
+    return TERMS[term_id]
+
+
+def estimate_term(g: GramPack, term_id: str) -> float:
+    """Evaluate one sub-term estimator by id."""
+    row = _term_row(term_id)
+    if row.needs_z and not g.has_z:
+        raise ValueError(f"term {term_id!r} requires a z sample")
+    if g.m < row.min_m:
+        raise ValueError(f"term {term_id!r} requires m >= {row.min_m}, got m = {g.m}")
+    return row.estimate(g)
+
+
+def sub_term_estimates(g: GramPack) -> dict[str, float]:
+    """Every sub-term estimate whose minimum m, and need for a z sample, the pack meets."""
+    return {t: row.estimate(g) for t, row in TERMS.items()
+            if g.m >= row.min_m and (g.has_z or not row.needs_z)}
+
+
+def oracle_term(g: GramPack, term_id: str) -> float:
+    """Nested-loop evaluation of one sub-term; the ground truth the matrix
+    estimators are checked against."""
+    _guard(g)
+    return _term_row(term_id).loop(g)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,12 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="non-numeric cell 2 in row 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        path = write(tmp_path, "a.csv", f"a,b\n1,2\n\n3,{cell}\n")
+        with pytest.raises(InputError, match=r"a\.csv: non-finite cell 2 in row 4"):
+            load_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "a.csv", "")
         with pytest.raises(InputError, match="empty"):
@@ -109,6 +115,26 @@ class TestCmdMmd:
         code, _, err = run_cli(capsys, "mmd", csv4["x"], bad)
         assert code == EXIT_INPUT
         assert "ragged row 2" in err
+
+    def test_nan_cell_exits_2(self, capsys, tmp_path, csv4):
+        bad = write(tmp_path, "bad.csv", "1\n2\nnan\n4\n")
+        code, out, err = run_cli(capsys, "mmd", csv4["x"], bad)
+        assert code == EXIT_INPUT and out == ""
+        assert "non-finite cell 1 in row 3" in err
+
+    @pytest.mark.parametrize("value,flags,message", [
+        (1e200, ("--kernel", "poly", "--degree", "3"), "kernel matrix is not finite"),
+        (1e75, (), "out of range"),  # squared grand sum overflows
+        (1e74, (), "not JSON compliant"),  # variance estimate overflows to inf
+    ])
+    def test_overflow_exits_3_without_output(self, capsys, tmp_path, value, flags, message):
+        x = write(tmp_path, "x.csv", "\n".join(repr(value * (1 + i % 7)) for i in range(100)))
+        y = write(tmp_path, "y.csv", "\n".join(repr(-value * (i % 5)) for i in range(100)))
+        for fmt in ("json", "tsv"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                code, out, err = run_cli(capsys, "mmd", x, y, *flags, "--format", fmt)
+            assert code == EXIT_PRECONDITION and out == ""
+            assert message in err
 
     def test_bad_kernel_flags(self, capsys, csv4):
         code, _, err = run_cli(capsys, "mmd", csv4["x"], csv4["y"],

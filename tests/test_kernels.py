@@ -116,6 +116,10 @@ class TestMedianHeuristic:
         with pytest.raises(ValueError, match="2 rows"):
             median_heuristic(np.array([[1.0]]))
 
+    def test_rejects_non_finite_rows(self):
+        with pytest.raises(ValueError, match="finite"):
+            median_heuristic(np.array([[0.0], [1.0], [np.nan], [3.0]]))
+
     def test_resolve_bandwidth(self):
         pooled = np.array([[0.0], [1.0]])
         spec = resolve_bandwidth(KernelSpec.rbf(MEDIAN), pooled)
@@ -159,6 +163,13 @@ class TestBuildGramPack:
             build_gram_pack(np.zeros((1, 1)), np.zeros((1, 1)))
         with pytest.raises(ValueError, match="sample sizes differ"):
             build_gram_pack(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("spec", [KernelSpec.linear(), KernelSpec.rbf("median"),
+                                      KernelSpec.polynomial(3)])
+    def test_non_finite_matrix_rejected(self, spec):
+        x = np.array([[0.0], [1.0], [2.0], [np.nan]])
+        with pytest.raises(ValueError, match="not finite"):
+            build_gram_pack(x, x + 1.0, spec=spec)
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_entries_match_eval_kernel(self, rng, name):
