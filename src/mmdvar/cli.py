@@ -143,47 +143,35 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def cmd_mmd(args: argparse.Namespace) -> int:
+def _estimate(args: argparse.Namespace, paths: list[str], fields: dict[str, str]) -> int:
+    """Load the samples, build their pack and emit the report fields given
+    as {output key: ``EstimateReport`` attribute}."""
     try:
-        x = load_csv(args.x)
-        y = load_csv(args.y)
+        samples = [load_csv(path) for path in paths]
         spec = _kernel_from_args(args)
         if not args.floor_eps > 0:
             raise InputError("--floor-eps must be positive")
     except InputError as exc:
         return _fail(EXIT_INPUT, str(exc))
     try:
-        g = build_gram_pack(x, y, spec=spec)
+        g = build_gram_pack(*samples, spec=spec)
         rep = full_report(g, floor_epsilon=args.floor_eps)
         _emit({"m": g.m, "d": g.d, "kernel": _kernel_echo(g.spec),
-               "mmd2": rep.mmd2_xy, "vhat": rep.vhat,
-               "vhat_floored": rep.vhat_floored, "z_stat": rep.z_stat}, args.format)
-    except (ValueError, OverflowError) as exc:
+               **{key: getattr(rep, attr) for key, attr in fields.items()}}, args.format)
+    except ValueError as exc:
         return _fail(EXIT_PRECONDITION, str(exc))
     return EXIT_OK
+
+
+def cmd_mmd(args: argparse.Namespace) -> int:
+    return _estimate(args, [args.x, args.y], {"mmd2": "mmd2_xy", "vhat": "vhat",
+                                             "vhat_floored": "vhat_floored", "z_stat": "z_stat"})
 
 
 def cmd_relmmd(args: argparse.Namespace) -> int:
-    try:
-        x = load_csv(args.x)
-        y = load_csv(args.y)
-        z = load_csv(args.z)
-        spec = _kernel_from_args(args)
-        if not args.floor_eps > 0:
-            raise InputError("--floor-eps must be positive")
-    except InputError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    try:
-        g = build_gram_pack(x, y, z, spec=spec)
-        rep = full_report(g, floor_epsilon=args.floor_eps)
-        # positive diff: Y is farther from X than Z is
-        _emit({"m": g.m, "d": g.d, "kernel": _kernel_echo(g.spec),
-               "mmd2_xy": rep.mmd2_xy, "mmd2_xz": rep.mmd2_xz, "diff": rep.diff,
-               "nuhat": rep.nuhat, "nuhat_floored": rep.nuhat_floored,
-               "z_stat": rep.z_stat}, args.format)
-    except (ValueError, OverflowError) as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
-    return EXIT_OK
+    # positive diff: Y is farther from X than Z is
+    keys = ("mmd2_xy", "mmd2_xz", "diff", "nuhat", "nuhat_floored", "z_stat")
+    return _estimate(args, [args.x, args.y, args.z], {key: key for key in keys})
 
 
 def _report_payload(report: McReport) -> dict[str, Any]:

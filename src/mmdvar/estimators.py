@@ -9,7 +9,8 @@ sampled populations; ``a`` and ``b`` name populations ("x", "y" or "z").
 
 All estimators are O(m) reductions over the aggregates cached in a
 :class:`~mmdvar.kernels.GramPack`, so the total cost including the Gram
-matrices is O(m^2) time and memory.  Variance estimates are genuinely
+aggregates is O(m^2) time and O(m B) memory, B the block of rows those
+aggregates are accumulated over.  Variance estimates are genuinely
 unbiased and may therefore be negative; callers that need a nonnegative
 number (e.g. for studentisation) should use the floored copies provided by
 :func:`full_report`.
@@ -187,9 +188,9 @@ def mmd2_var(g: GramPack) -> float:
         + 4.0 * (m * m - m - 1) * (r_xy + c_xy) / (m ** 3 * m1 ** 3)
         - 8.0 * (b_xx_xy + b_yy_yx) / (m * m * m1 * m2)
         + 8.0 * ((wx.total + wy.total) * c.total) / (m * m * falling_factorial(m, 3))
-        - 2.0 * (2 * m - 3) * (wx.total ** 2 + wy.total ** 2)
+        - 2.0 * (2 * m - 3) * (wx.total * wx.total + wy.total * wy.total)
         / (falling_factorial(m, 2) * falling_factorial(m, 4))
-        - 4.0 * (2 * m - 3) * c.total ** 2 / (m ** 3 * m1 ** 3)
+        - 4.0 * (2 * m - 3) * (c.total * c.total) / (m ** 3 * m1 ** 3)
         - 2.0 * (wx.frob_sq + wy.frob_sq) / (m * m1 * m2 * m3)
         - 4.0 * m2 * c.frob_sq / (m * m * m1 ** 3)
     )
@@ -221,8 +222,8 @@ def mmd2_diff_var(g: GramPack) -> float:
         + 4.0 * (r_yy + r_zz) / falling_factorial(m, 4)
         - 8.0 * b_xy_xz / (m ** 3 * m1)
         - 8.0 * (b_yy_yx + b_zz_zx) / (m * m * m1 * m2)
-        - 4.0 * (2 * m - 3) * (cy.total ** 2 + cz.total ** 2) / (m ** 3 * m1 ** 3)
-        - 2.0 * (2 * m - 3) * (wy.total ** 2 + wz.total ** 2)
+        - 4.0 * (2 * m - 3) * (cy.total * cy.total + cz.total * cz.total) / (m ** 3 * m1 ** 3)
+        - 2.0 * (2 * m - 3) * (wy.total * wy.total + wz.total * wz.total)
         / (falling_factorial(m, 2) * falling_factorial(m, 4))
         + 8.0 * cy.total * cz.total / (m ** 4 * m1)
         + 8.0 * (wy.total * cy.total + wz.total * cz.total)
@@ -261,22 +262,23 @@ class EstimateReport:
 
 
 def full_report(g: GramPack, floor_epsilon: float = 1e-12) -> EstimateReport:
-    """Compute every headline estimate for the pack in one call."""
+    """Compute every headline estimate for the pack in one call.
+
+    Raises ValueError naming the first estimate that is not finite.
+    """
     if not floor_epsilon > 0.0:
         raise ValueError("floor_epsilon must be positive")
-    mmd2_xy = mmd2_u(g, "xy")
-    vhat = mmd2_var(g)
-    vhat_floored = max(vhat, floor_epsilon)
+    rep = {"mmd2_xy": mmd2_u(g, "xy"), "vhat": mmd2_var(g)}
+    rep["vhat_floored"] = max(rep["vhat"], floor_epsilon)
     if g.has_z:
-        mmd2_xz = mmd2_u(g, "xz")
-        diff = mmd2_xy - mmd2_xz
-        nuhat = mmd2_diff_var(g)
-        nuhat_floored = max(nuhat, floor_epsilon)
-        z_stat = diff / math.sqrt(nuhat_floored)
-        return EstimateReport(m=g.m, kernel=g.spec, mmd2_xy=mmd2_xy, vhat=vhat,
-                              vhat_floored=vhat_floored, z_stat=z_stat,
-                              mmd2_xz=mmd2_xz, diff=diff, nuhat=nuhat,
-                              nuhat_floored=nuhat_floored)
-    z_stat = mmd2_xy / math.sqrt(vhat_floored)
-    return EstimateReport(m=g.m, kernel=g.spec, mmd2_xy=mmd2_xy, vhat=vhat,
-                          vhat_floored=vhat_floored, z_stat=z_stat)
+        rep["mmd2_xz"] = mmd2_u(g, "xz")
+        rep["diff"] = rep["mmd2_xy"] - rep["mmd2_xz"]
+        rep["nuhat"] = mmd2_diff_var(g)
+        rep["nuhat_floored"] = max(rep["nuhat"], floor_epsilon)
+        rep["z_stat"] = rep["diff"] / math.sqrt(rep["nuhat_floored"])
+    else:
+        rep["z_stat"] = rep["mmd2_xy"] / math.sqrt(rep["vhat_floored"])
+    for name, value in rep.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is not finite: kernel aggregates overflow float64")
+    return EstimateReport(m=g.m, kernel=g.spec, **rep)

@@ -1,11 +1,11 @@
-"""Kernel functions, Gram matrices, and their cached aggregate statistics.
+"""Kernel functions and the cached aggregates of their Gram matrices.
 
-Everything downstream works off a :class:`GramPack`: the cross kernel
-matrices between the samples plus the within-sample matrices with their
-diagonals zeroed at construction time, so that sums over the zeroed
-matrices automatically range over pairs of distinct indices.  Row sums,
-column sums, grand sums, squared Frobenius norms and traces are cached
-once; all estimators are then O(m) reductions over these caches.
+Everything downstream works off a :class:`GramPack`: the samples and, for
+each cross matrix and each within-sample matrix with its diagonal zeroed
+(so sums range over distinct index pairs), the row, column and grand sums,
+squared Frobenius norm and trace.  These and the median bandwidth are
+accumulated over blocks of rows, never holding an m x m matrix: O(m^2)
+time, O(m * _BLOCK) memory.  Estimators are O(m) reductions over them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist, pdist
 
 MEDIAN = "median"
 
@@ -113,7 +113,8 @@ def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense kernel matrix K[i, j] = k(a_i, b_j) (diagonal untouched)."""
+    """Dense kernel matrix K[i, j] = k(a_i, b_j) (diagonal untouched), as a
+    new C-contiguous array."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] != b.shape[1]:
@@ -130,22 +131,126 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.full((a.shape[0], b.shape[0]), float(spec.value))
 
 
-def _median_distance_from_sq(parts: list[np.ndarray]) -> float:
-    """Median Euclidean distance given squared distances in arbitrary chunks.
+#: Rows per block: a pass over a kernel matrix or over the pooled pairwise
+#: distances holds one block of at most _BLOCK rows against all columns.
+_BLOCK = 256
+#: Most squared distances the median selection gathers at once (64 MiB).
+_GATHER_MAX = 1 << 23
+#: Most rows of the probe that brackets the median; fewer pooled rows skip it.
+_PROBE_ROWS = 2048
+#: Histogram bins of a pass that narrows a bracket holding too many values.
+_BINS = 1024
 
-    sqrt is monotone, so the middle order statistics of the squared values
-    are the squares of the middle distances; selecting them first avoids a
-    square root per pair.
+
+def _pair_blocks(pooled: np.ndarray):
+    """Flat blocks of the squared distances of all unordered pairs of rows, each pair once."""
+    for i0 in range(0, pooled.shape[0], _BLOCK):
+        block = pooled[i0:i0 + _BLOCK]
+        yield pdist(block, "sqeuclidean")
+        yield cdist(block, pooled[i0 + _BLOCK:], "sqeuclidean").ravel()
+
+
+def _scan(pooled: np.ndarray, lo: float, hi: float):
+    """One pass over all pairs: ``(below, gathered, bins)``, the number of
+    squared distances below ``lo`` and those in [lo, hi], gathered while they
+    fit in ``_GATHER_MAX``.  Past that, ``gathered`` is None and ``bins`` is
+    (lows, highs, counts) of ``_BINS`` bins of equal width in the float64
+    bits, which order non-negative floats as their values do."""
+    n = pooled.shape[0]
+    buf = np.empty(min(n * (n - 1) // 2, _GATHER_MAX))
+    size = below = 0
+    bins = None
+    for d in _pair_blocks(pooled):
+        under = d < lo
+        below += np.count_nonzero(under)
+        inside = d <= hi
+        inside ^= under
+        k = np.count_nonzero(inside)
+        if bins is None and size + k <= buf.size:
+            np.compress(inside, d, out=buf[size:size + k])
+            size += k
+            continue
+        if bins is None:
+            lo_bits, hi_bits = (int(np.float64(v).view(np.uint64)) for v in (lo, hi))
+            starts = np.array([lo_bits + j * (hi_bits - lo_bits + 1) // _BINS
+                               for j in range(_BINS + 1)], dtype=np.uint64)
+            edges = starts[1:-1].view(np.float64)
+            counts = np.bincount(np.searchsorted(edges, buf[:size], "right"), minlength=_BINS)
+            bins = (starts[:-1].view(np.float64), (starts[1:] - 1).view(np.float64), counts)
+        counts += np.bincount(np.searchsorted(edges, d[inside], "right"), minlength=_BINS)
+    return below, (buf[:size] if bins is None else None), bins
+
+
+def _select_sq(pooled: np.ndarray, ranks: tuple[int, ...], lo: float = 0.0,
+               hi: float = math.inf) -> tuple[float, ...]:
+    """Exact order statistics (one rank, or two adjacent) of the squared
+    distances of all unordered pairs of rows, never holding n^2 values.
+
+    [lo, hi] guesses a bracket of the ranks.  One that misses them is
+    widened toward them, one holding too many values to gather is narrowed
+    to a histogram bin holding them; each costs one more pass.
     """
-    sq = np.concatenate([np.ravel(p) for p in parts])
-    n = sq.size
-    mid = n // 2
-    if n % 2:
-        sq.partition(mid)
-        med = float(np.sqrt(sq[mid]))
-    else:
-        sq.partition([mid - 1, mid])
-        med = 0.5 * (float(np.sqrt(sq[mid - 1])) + float(np.sqrt(sq[mid])))
+    while True:
+        below, gathered, bins = _scan(pooled, lo, hi)
+        first, last = ranks[0] - below, ranks[-1] - below
+        inside = gathered.size if bins is None else int(bins[2].sum())
+        if first < 0 or last >= inside:  # missed: widen toward the ranks; the next pass recounts
+            lo, hi = (0.0 if first < 0 else lo if first < inside else hi,
+                      lo if last < 0 else hi if last < inside else math.inf)
+        elif bins is None:
+            gathered.partition([first, last])
+            return tuple(float(gathered[r - below]) for r in ranks)
+        else:
+            lows, highs, counts = bins
+            j = np.searchsorted(np.cumsum(counts), [first, last], side="right")
+            if j[0] != j[1]:  # the ranks lie in different bins: select each alone
+                return tuple(_select_sq(pooled, (r,), float(lows[b]), float(highs[b]))[0]
+                             for r, b in zip(ranks, j))
+            lo, hi = float(lows[j[0]]), float(highs[j[0]])
+            if lo == hi:
+                return (lo,) * len(ranks)
+
+
+def _probe_bracket(pooled: np.ndarray) -> tuple[float, float]:
+    """A bracket likely to hold the median squared distance: four standard
+    errors either side of the median over p rows, every s-th (s >= 2).
+
+    The error is the first-order one of a U-statistic, 2 sd(f) / sqrt(p),
+    f_i being the share of probe row i's pairs at or below that median
+    (over every 8th probe row).  Fewer than ``_PROBE_ROWS`` rows get the
+    whole range.
+    """
+    n = pooled.shape[0]
+    if n < _PROBE_ROWS:
+        return 0.0, math.inf
+    probe = pooled[::max(2, -(-n // _PROBE_ROWS))]
+    p = probe.shape[0]
+    sq = pdist(probe, "sqeuclidean")
+    mid = sq.size // 2
+    sq.partition(mid)
+    share = np.count_nonzero(cdist(probe[::8], probe, "sqeuclidean") <= sq[mid], axis=1) / p
+    half = int(4.0 * 2.0 * float(share.std()) / math.sqrt(p) * sq.size)
+    ranks = [max(mid - half, 0), min(mid + half, sq.size - 1)]
+    sq.partition(ranks)
+    return float(sq[ranks[0]]), float(sq[ranks[1]])
+
+
+def _median_distance_from_sq(pooled: np.ndarray) -> float:
+    """Median Euclidean distance over all unordered pairs of distinct rows.
+
+    sqrt is monotone, so the middle order statistics of the squared
+    distances are the squares of the middle distances; selecting them first
+    avoids a square root per pair.  The selection is exact, so the result
+    equals ``np.median(np.sqrt(pdist(pooled, "sqeuclidean")))`` bit for bit.
+    """
+    if not np.isfinite(pooled).all():
+        raise ValueError("pooled sample is not finite; the median heuristic needs finite rows")
+    n = pooled.shape[0]
+    pairs = n * (n - 1) // 2
+    mid = pairs // 2
+    ranks = (mid,) if pairs % 2 else (mid - 1, mid)
+    roots = [float(np.sqrt(v)) for v in _select_sq(pooled, ranks, *_probe_bracket(pooled))]
+    med = roots[0] if pairs % 2 else 0.5 * (roots[0] + roots[1])
     if med == 0.0:
         raise ValueError("degenerate pooled sample: median pairwise distance is zero")
     return med
@@ -161,9 +266,7 @@ def median_heuristic(pooled: np.ndarray) -> float:
     pooled = _as_sample(pooled, "pooled")
     if pooled.shape[0] < 2:
         raise ValueError("median heuristic needs at least 2 rows")
-    if not np.isfinite(pooled).all():
-        raise ValueError("median heuristic needs finite rows")
-    return _median_distance_from_sq([pdist(pooled, "sqeuclidean")])
+    return _median_distance_from_sq(pooled)
 
 
 def resolve_bandwidth(spec: KernelSpec, pooled: np.ndarray) -> KernelSpec:
@@ -188,14 +291,38 @@ class GramStats:
         return GramStats(self.col_sums, self.row_sums, self.total, self.frob_sq, self.trace)
 
 
-def _stats(k: np.ndarray, symmetric: bool = False) -> GramStats:
-    row_sums = k.sum(axis=1)
-    col_sums = row_sums if symmetric else k.sum(axis=0)
+def _stats(spec: KernelSpec, a: np.ndarray, b: np.ndarray, within: bool) -> GramStats:
+    """Aggregates of K[i, j] = k(a_i, b_j) for samples of equal size m,
+    accumulated over blocks of at most ``_BLOCK`` rows.
+
+    ``within`` means b is a: the diagonal is zeroed and only the upper
+    triangle is evaluated, each block from its own diagonal rightwards; the
+    part right of the block's square stands in for its transpose below it.
+    """
+    m = a.shape[0]
+    row_sums = np.zeros(m)
+    col_sums = None
+    frob_sq = trace = 0.0
+    for i0 in range(0, m, _BLOCK):
+        k = kernel_matrix(spec, a[i0:i0 + _BLOCK], b[i0:] if within else b)
+        n, width = k.shape
+        diag = k.reshape(-1)[(0 if within else i0)::width + 1]  # a view: k is C-contiguous
+        if within:
+            diag[:] = 0.0
+        else:
+            trace += float(diag.sum())
+            part = k.sum(axis=0)
+            col_sums = part if col_sums is None else np.add(col_sums, part, out=col_sums)
+        row_sums[i0:i0 + n] += k.sum(axis=1)
+        frob_sq += float(np.einsum("ij,ij->", k, k))
+        if within and n < width:  # right of the block's square: its transpose lies below
+            right = k[:, n:]
+            row_sums[i0 + n:] += right.sum(axis=0)
+            frob_sq += float(np.einsum("ij,ij->", right, right))
     total = float(row_sums.sum())
-    frob_sq = float(np.einsum("ij,ij->", k, k))
     if not (math.isfinite(total) and math.isfinite(frob_sq)):
         raise ValueError("kernel matrix is not finite (non-finite input or overflow)")
-    trace = float(np.trace(k))
+    col_sums = row_sums if within else col_sums
     row_sums.setflags(write=False)
     col_sums.setflags(write=False)
     return GramStats(row_sums, col_sums, total, frob_sq, trace)
@@ -206,115 +333,74 @@ _CROSS_KEYS = {("x", "y"): "xy", ("x", "z"): "xz"}
 
 @dataclass(frozen=True)
 class GramPack:
-    """All kernel matrices for samples X, Y (and optionally Z), plus caches.
+    """Samples X, Y (and optionally Z), their kernel, and the aggregates of
+    every kernel matrix the estimators read.
 
-    ``kxx_t``, ``kyy_t``, ``kzz_t`` are the within-sample matrices with the
-    diagonal set to zero, so any full sum over them is a sum over distinct
-    index pairs.  Matrices are read-only after construction; the pack is
-    safe for concurrent use.
+    The within-sample aggregates are those of the matrix with its diagonal
+    zeroed, so any full sum over it is a sum over distinct index pairs.  No
+    m x m matrix is stored: :meth:`matrix` recomputes one on demand.  Samples
+    and aggregates are read-only; the pack is safe for concurrent use.
     """
 
     m: int
     d: int
     spec: KernelSpec
-    kxy: np.ndarray
-    kxx_t: np.ndarray
-    kyy_t: np.ndarray
-    kxz: np.ndarray | None
-    kzz_t: np.ndarray | None
+    samples: dict[str, np.ndarray]
     stats: dict[str, GramStats]
 
     @property
     def has_z(self) -> bool:
-        return self.kxz is not None
+        return "z" in self.samples
 
     def within(self, pop: str) -> GramStats:
         """Aggregates of the zero-diagonal within-sample matrix of ``pop``."""
         if pop not in ("x", "y", "z"):
             raise ValueError(f"unknown population {pop!r}")
-        if pop == "z" and not self.has_z:
+        if pop not in self.samples:
             raise ValueError("no z sample in this GramPack")
         return self.stats[pop + pop]
 
     def cross(self, a: str, b: str) -> GramStats:
         """Aggregates of the cross matrix oriented with rows indexed by ``a``."""
-        if (a, b) in _CROSS_KEYS:
-            st = self.stats.get(_CROSS_KEYS[(a, b)])
-        elif (b, a) in _CROSS_KEYS:
-            st = self.stats.get(_CROSS_KEYS[(b, a)])
-            st = st.swapped() if st is not None else None
-        else:
+        key = _CROSS_KEYS.get((a, b)) or _CROSS_KEYS.get((b, a))
+        if key is None:
             raise ValueError(f"no kernel matrix for pair ({a!r}, {b!r})")
-        if st is None:
+        if key not in self.stats:
             raise ValueError("no z sample in this GramPack")
-        return st
+        return self.stats[key] if (a, b) in _CROSS_KEYS else self.stats[key].swapped()
 
     def matrix(self, a: str, b: str) -> np.ndarray:
-        """The kernel matrix with rows indexed by ``a`` and columns by ``b``.
+        """The kernel matrix with rows indexed by ``a`` and columns by ``b``,
+        recomputed in O(m^2) memory (for the oracle and tests).
 
-        Within-sample pairs return the zero-diagonal matrix; reversed cross
-        pairs return a transposed view.
+        Within-sample pairs have the diagonal zeroed; reversed cross pairs
+        return the transpose of the forward matrix.
         """
         if a == b:
-            self.within(a)  # availability check
-            return {"x": self.kxx_t, "y": self.kyy_t, "z": self.kzz_t}[a]
-        if (a, b) == ("x", "y"):
-            return self.kxy
-        if (a, b) == ("y", "x"):
-            return self.kxy.T
-        if (a, b) in (("x", "z"), ("z", "x")):
-            if not self.has_z:
-                raise ValueError("no z sample in this GramPack")
-            return self.kxz if a == "x" else self.kxz.T
-        raise ValueError(f"no kernel matrix for pair ({a!r}, {b!r})")
+            self.within(a)  # raises for a sample the pack lacks
+        else:
+            self.cross(a, b)  # raises for a pair or sample the pack lacks
+            if (a, b) not in _CROSS_KEYS:
+                return self.matrix(b, a).T
+        k = kernel_matrix(self.spec, self.samples[a], self.samples[b])
+        if a == b:
+            np.fill_diagonal(k, 0.0)
+        return k
 
 
 def _as_sample(arr: np.ndarray, name: str) -> np.ndarray:
-    out = np.asarray(arr, dtype=np.float64)
+    """A read-only float64 copy of ``arr`` as an m x d matrix."""
+    out = np.array(arr, dtype=np.float64)
     if out.ndim == 1:
         out = out.reshape(-1, 1)
     if out.ndim != 2:
         raise ValueError(f"{name} must be an m x d matrix, got ndim={out.ndim}")
+    out.setflags(write=False)
     return out
 
 
-def _zero_diag_sym(k: np.ndarray) -> np.ndarray:
-    # (k + k.T)/2 leaves an already-symmetric matrix bit-identical but
-    # guarantees exact symmetry regardless of how the BLAS filled it in.
-    out = (k + k.T) * 0.5
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
-def _rbf_matrices(
-    spec: KernelSpec, sets: dict[str, np.ndarray],
-) -> tuple[KernelSpec, dict[str, np.ndarray]]:
-    """RBF matrices from squared-distance blocks computed exactly once.
-
-    Within-sample blocks stay condensed (half the pairs) until expansion,
-    which also yields the zero diagonal and exact symmetry for free.  A
-    'median' bandwidth is selected from the same blocks, augmented by the
-    Y-Z block that the Gram pack itself never needs, so the multiset of
-    pooled pairwise distances is complete.
-    """
-    d_cross = {k: cdist(sets["x"], s, "sqeuclidean")
-               for k, s in (("xy", sets["y"]), ("xz", sets.get("z")))
-               if s is not None}
-    d_within = {p + p: pdist(s, "sqeuclidean") for p, s in sets.items()}
-    if spec.bandwidth == MEDIAN:
-        parts = list(d_cross.values()) + list(d_within.values())
-        if "z" in sets:
-            parts.append(cdist(sets["y"], sets["z"], "sqeuclidean"))
-        spec = replace(spec, bandwidth=_median_distance_from_sq(parts))
-    scale = -0.5 / (float(spec.bandwidth) ** 2)
-
-    def to_kernel(d: np.ndarray) -> np.ndarray:
-        d *= scale
-        return np.exp(d, out=d)
-
-    mats = {k: to_kernel(d) for k, d in d_cross.items()}
-    mats.update({k: squareform(to_kernel(d)) for k, d in d_within.items()})
-    return spec, mats
+#: The kernel matrices the estimators read, as (rows, columns) populations.
+_PAIRS = ("xy", "xx", "yy", "xz", "zz")
 
 
 def build_gram_pack(
@@ -323,20 +409,18 @@ def build_gram_pack(
     z: np.ndarray | None = None,
     spec: KernelSpec = KernelSpec.linear(),
 ) -> GramPack:
-    """Compute all kernel matrices and caches for samples of equal size.
+    """Compute the aggregates of every kernel matrix for samples of equal size.
 
     All samples must share the same number of rows m >= 2 and the same
     dimension.  1-d inputs are treated as single-column samples.  An RBF
     'median' bandwidth is resolved against the pooled rows of every sample
-    provided.
+    provided.  O(m^2) time, O(m * _BLOCK) memory.
     """
-    x = _as_sample(x, "x")
-    y = _as_sample(y, "y")
-    sets = {"x": x, "y": y}
+    samples = {"x": _as_sample(x, "x"), "y": _as_sample(y, "y")}
     if z is not None:
-        sets["z"] = _as_sample(z, "z")
-    m, d = x.shape
-    for name, s in sets.items():
+        samples["z"] = _as_sample(z, "z")
+    m, d = samples["x"].shape
+    for name, s in samples.items():
         if s.shape[0] != m:
             raise ValueError(f"sample sizes differ: x has {m} rows, {name} has {s.shape[0]}")
         if s.shape[1] != d:
@@ -344,21 +428,9 @@ def build_gram_pack(
     if m < 2:
         raise ValueError("need at least m = 2 observations per sample")
 
-    if spec.kind == "rbf":
-        spec, mats = _rbf_matrices(spec, sets)
-    else:
-        mats = {"xy": kernel_matrix(spec, x, y),
-                "xx": _zero_diag_sym(kernel_matrix(spec, x, x)),
-                "yy": _zero_diag_sym(kernel_matrix(spec, y, y))}
-        if z is not None:
-            mats["xz"] = kernel_matrix(spec, x, sets["z"])
-            mats["zz"] = _zero_diag_sym(kernel_matrix(spec, sets["z"], sets["z"]))
-    stats = {key: _stats(mat, symmetric=len(set(key)) == 1) for key, mat in mats.items()}
-    kxy, kxx_t, kyy_t = mats["xy"], mats["xx"], mats["yy"]
-    kxz, kzz_t = mats.get("xz"), mats.get("zz")
-
-    for k in (kxy, kxx_t, kyy_t, kxz, kzz_t):
-        if k is not None:
-            k.setflags(write=False)
-    return GramPack(m=m, d=d, spec=spec, kxy=kxy, kxx_t=kxx_t, kyy_t=kyy_t,
-                    kxz=kxz, kzz_t=kzz_t, stats=stats)
+    if spec.kind == "rbf" and spec.bandwidth == MEDIAN:
+        pooled = np.concatenate(list(samples.values()))
+        spec = replace(spec, bandwidth=_median_distance_from_sq(pooled))
+    stats = {key: _stats(spec, samples[key[0]], samples[key[1]], key[0] == key[1])
+             for key in _PAIRS if key[1] in samples}
+    return GramPack(m=m, d=d, spec=spec, samples=samples, stats=stats)

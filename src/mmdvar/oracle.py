@@ -479,20 +479,21 @@ TARGETS: dict[str, Target] = {
 }
 
 
-def _term_row(term_id: str) -> Target:
+def _term_row(term_id: str, g: GramPack | None = None) -> Target:
+    """The row of a sub-term id, checked against the pack's m and samples if given."""
     if term_id not in TERMS:
         raise ValueError(f"unknown term id {term_id!r}")
-    return TERMS[term_id]
+    row = TERMS[term_id]
+    if g is not None and row.needs_z and not g.has_z:
+        raise ValueError(f"term {term_id!r} requires a z sample")
+    if g is not None and g.m < row.min_m:
+        raise ValueError(f"term {term_id!r} requires m >= {row.min_m}, got m = {g.m}")
+    return row
 
 
 def estimate_term(g: GramPack, term_id: str) -> float:
     """Evaluate one sub-term estimator by id."""
-    row = _term_row(term_id)
-    if row.needs_z and not g.has_z:
-        raise ValueError(f"term {term_id!r} requires a z sample")
-    if g.m < row.min_m:
-        raise ValueError(f"term {term_id!r} requires m >= {row.min_m}, got m = {g.m}")
-    return row.estimate(g)
+    return _term_row(term_id, g).estimate(g)
 
 
 def sub_term_estimates(g: GramPack) -> dict[str, float]:
@@ -505,7 +506,7 @@ def oracle_term(g: GramPack, term_id: str) -> float:
     """Nested-loop evaluation of one sub-term; the ground truth the matrix
     estimators are checked against."""
     _guard(g)
-    return _term_row(term_id).loop(g)
+    return _term_row(term_id, g).loop(g)
 
 
 # ---------------------------------------------------------------------------

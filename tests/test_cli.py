@@ -124,8 +124,8 @@ class TestCmdMmd:
 
     @pytest.mark.parametrize("value,flags,message", [
         (1e200, ("--kernel", "poly", "--degree", "3"), "kernel matrix is not finite"),
-        (1e75, (), "out of range"),  # squared grand sum overflows
-        (1e74, (), "not JSON compliant"),  # variance estimate overflows to inf
+        (1e75, (), "vhat is not finite"),  # squared grand sum overflows
+        (1e74, (), "vhat is not finite"),  # variance estimate overflows to inf
     ])
     def test_overflow_exits_3_without_output(self, capsys, tmp_path, value, flags, message):
         x = write(tmp_path, "x.csv", "\n".join(repr(value * (1 + i % 7)) for i in range(100)))

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
+from mmdvar import kernels
 from mmdvar import (
     MEDIAN,
     KernelSpec,
@@ -130,18 +134,108 @@ class TestMedianHeuristic:
         assert resolve_bandwidth(lin, pooled) is lin
 
 
+def _numpy_median(pooled: np.ndarray) -> float:
+    return float(np.median(np.sqrt(pdist(pooled, "sqeuclidean"))))
+
+
+def _tiny_passes():
+    """Blocks, gather buffer and probe small enough that samples of a few
+    dozen rows run the probe, the histogram narrowing and the widening."""
+    return mock.patch.multiple(kernels, _BLOCK=4, _GATHER_MAX=24, _PROBE_ROWS=8)
+
+
+@st.composite
+def pooled_samples(draw):
+    """Pooled rows of 2 or 3 equal samples; small integer grids make ties
+    and duplicate rows common."""
+    k = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 14))
+    d = draw(st.integers(1, 3))
+    grid = draw(st.sampled_from([3, 10, 0]))
+    cells = st.integers(0, grid - 1).map(float) if grid else st.floats(-1e3, 1e3)
+    rows = draw(st.lists(st.lists(cells, min_size=d, max_size=d),
+                         min_size=k * m, max_size=k * m))
+    return k, np.array(rows)
+
+
+class TestExactMedianSelection:
+    """The blocked selection returns the median of every pooled pairwise
+    distance bit for bit, whichever passes it takes."""
+
+    def _check(self, pooled, k=None):
+        """median_heuristic, and a build from k equal samples, against NumPy."""
+        expected = _numpy_median(pooled)
+        if expected == 0.0:
+            with pytest.raises(ValueError, match="degenerate"):
+                median_heuristic(pooled)
+            return
+        assert median_heuristic(pooled) == expected
+        if k is not None and pooled.shape[0] >= 2 * k:
+            g = build_gram_pack(*np.split(pooled, k), spec=KernelSpec.rbf(MEDIAN))
+            assert g.spec.bandwidth == expected
+
+    @given(pooled_samples())
+    @settings(deadline=None, max_examples=150)
+    def test_matches_numpy_median(self, case):
+        k, pooled = case
+        self._check(pooled, k)
+
+    @given(pooled_samples())
+    @settings(deadline=None, max_examples=150)
+    def test_matches_numpy_median_in_tiny_passes(self, case):
+        k, pooled = case
+        with _tiny_passes():
+            self._check(pooled, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 9])  # 1, 3, 6, 10, 15, 36 pairs
+    def test_smallest_samples(self, rng, n):
+        pooled = rng.normal(size=(n, 2))
+        self._check(pooled)
+        for k in (2, 3):  # builds at m = 2 and 3
+            if n % k == 0:
+                self._check(pooled, k)
+
+    def test_duplicate_rows_and_ties(self, rng):
+        pooled = np.repeat(rng.integers(0, 4, size=(30, 2)).astype(float), 4, axis=0)
+        self._check(pooled, 3)
+        with _tiny_passes():
+            self._check(pooled, 3)
+
+    def test_probe_path_at_full_size(self, rng):
+        pooled = rng.normal(size=(2 * kernels._PROBE_ROWS + 2, 3))
+        lo, hi = kernels._probe_bracket(pooled)
+        assert 0.0 < lo < hi < np.inf
+        self._check(pooled, 2)
+
+    def test_bracket_miss_falls_back(self, rng):
+        # every probed row sits in a tight cluster, so the probe's bracket
+        # lies far below the median of the whole pooled sample
+        pooled = rng.normal(size=(96, 2)) * 50.0
+        with _tiny_passes():
+            stride = max(2, -(-96 // kernels._PROBE_ROWS))
+            pooled[::stride] *= 1e-4
+            lo, hi = kernels._probe_bracket(pooled)
+            assert hi < _numpy_median(pooled) ** 2
+            scans = []
+            real_scan = kernels._scan
+            with mock.patch.object(kernels, "_scan",
+                                   lambda *a: scans.append(a[1:]) or real_scan(*a)):
+                self._check(pooled, 3)
+        assert scans[0] == (lo, hi) and len(scans) >= 3
+
+
 class TestBuildGramPack:
     def test_linear_example(self):
         g = build_gram_pack([1.0, 2.0], [3.0, 4.0])
-        np.testing.assert_array_equal(g.kxy, [[3.0, 4.0], [6.0, 8.0]])
-        np.testing.assert_array_equal(g.kxx_t, [[0.0, 2.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(g.matrix("x", "y"), [[3.0, 4.0], [6.0, 8.0]])
+        np.testing.assert_array_equal(g.matrix("x", "x"), [[0.0, 2.0], [2.0, 0.0]])
         assert not g.has_z
         assert g.m == 2 and g.d == 1
 
     def test_constant_m3_grand_sums(self):
         ones = np.zeros((3, 1))
         g = build_gram_pack(ones, ones + 1, ones + 2, spec=KernelSpec.constant(1.0))
-        assert np.all(g.kxy == 1.0) and np.all(g.kxz == 1.0)
+        assert np.all(g.matrix("x", "y") == 1.0) and np.all(g.matrix("x", "z") == 1.0)
         # within matrices: m(m-1) off-diagonal ones
         for key in ("xx", "yy", "zz"):
             assert g.stats[key].total == 6.0
@@ -149,10 +243,11 @@ class TestBuildGramPack:
     def test_rbf_identical_sets(self, rng):
         x = rng.normal(size=(5, 2))
         g = build_gram_pack(x, x.copy(), spec=KernelSpec.rbf(1.0))
-        np.testing.assert_array_equal(np.diag(g.kxy), np.ones(5))
-        off = g.kxy.copy()
+        kxy = g.matrix("x", "y")
+        np.testing.assert_array_equal(np.diag(kxy), np.ones(5))
+        off = kxy.copy()
         np.fill_diagonal(off, 0.0)
-        np.testing.assert_array_equal(g.kxx_t, off)
+        np.testing.assert_array_equal(g.matrix("x", "x"), off)
 
     def test_size_errors(self):
         with pytest.raises(ValueError, match="sample sizes differ"):
@@ -178,30 +273,43 @@ class TestBuildGramPack:
         spec = g.spec  # bandwidth resolved
         expected = np.array([[eval_kernel(spec, xi, yj) for yj in y] for xi in x])
         scale = 4 * np.finfo(float).eps * max(1.0, float(np.abs(expected).max()))
-        np.testing.assert_allclose(g.kxy, expected, rtol=4e-16, atol=scale)
+        np.testing.assert_allclose(g.matrix("x", "y"), expected, rtol=4e-16, atol=scale)
         exp_xx = np.array([[eval_kernel(spec, xi, xj) for xj in x] for xi in x])
         np.fill_diagonal(exp_xx, 0.0)
-        np.testing.assert_allclose(g.kxx_t, exp_xx, rtol=4e-16, atol=scale)
+        np.testing.assert_allclose(g.matrix("x", "x"), exp_xx, rtol=4e-16, atol=scale)
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_caches_consistent(self, rng, name):
+        self._check_caches(rng, name, kernels._BLOCK)
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_caches_consistent_in_blocks(self, rng, name):
+        self._check_caches(rng, name, 3)  # blocks of 3, 3 and 1 rows
+
+    def _check_caches(self, rng, name, block):
         x, y, z = rng.normal(size=(3, 7, 2))
-        g = build_gram_pack(x, y, z, spec=KERNEL_CASES[name])
-        mats = {"xy": g.kxy, "xx": g.kxx_t, "yy": g.kyy_t, "xz": g.kxz, "zz": g.kzz_t}
+        with mock.patch.object(kernels, "_BLOCK", block):
+            g = build_gram_pack(x, y, z, spec=KERNEL_CASES[name])
+        mats = {key: g.matrix(key[0], key[1]) for key in ("xy", "xx", "yy", "xz", "zz")}
         tol = 8 * np.finfo(float).eps
         for key, mat in mats.items():
             st = g.stats[key]
-            np.testing.assert_allclose(st.row_sums, mat.sum(axis=1), rtol=tol)
-            np.testing.assert_allclose(st.col_sums, mat.sum(axis=0), rtol=tol)
+            # blocks sum in another order: allow rounding on the scale of |K| row sums
+            atol = 0.0 if block == kernels._BLOCK else tol * 7 * float(np.abs(mat).max())
+            np.testing.assert_allclose(st.row_sums, mat.sum(axis=1), rtol=tol, atol=atol)
+            np.testing.assert_allclose(st.col_sums, mat.sum(axis=0), rtol=tol, atol=atol)
             assert st.total == pytest.approx(float(mat.sum()), rel=1e-13)
             assert st.total == pytest.approx(float(st.row_sums.sum()), rel=tol)
             assert st.frob_sq == pytest.approx(float((mat ** 2).sum()), rel=1e-13)
-            assert st.trace == float(np.trace(mat))
+            if block == kernels._BLOCK:
+                assert st.trace == float(np.trace(mat))
+            else:
+                assert abs(st.trace - np.trace(mat)) <= tol * np.abs(np.diag(mat)).sum()
 
     def test_zero_diagonals_and_symmetry(self, rng):
         x, y, z = rng.normal(size=(3, 6, 2))
         g = build_gram_pack(x, y, z, spec=KernelSpec.rbf(0.8))
-        for mat in (g.kxx_t, g.kyy_t, g.kzz_t):
+        for mat in (g.matrix(p, p) for p in "xyz"):
             assert np.all(np.diag(mat) == 0.0)
             np.testing.assert_array_equal(mat, mat.T)
 
@@ -216,9 +324,11 @@ class TestBuildGramPack:
     def test_matrix_orientation(self, rng):
         x, y, z = rng.normal(size=(3, 4, 2))
         g = build_gram_pack(x, y, z, spec=KernelSpec.linear())
-        np.testing.assert_array_equal(g.matrix("y", "x"), g.kxy.T)
-        np.testing.assert_array_equal(g.matrix("z", "x"), g.kxz.T)
-        np.testing.assert_array_equal(g.matrix("x", "x"), g.kxx_t)
+        np.testing.assert_array_equal(g.matrix("y", "x"), g.matrix("x", "y").T)
+        np.testing.assert_array_equal(g.matrix("z", "x"), g.matrix("x", "z").T)
+        kxx = kernel_matrix(g.spec, x, x)
+        np.fill_diagonal(kxx, 0.0)
+        np.testing.assert_array_equal(g.matrix("x", "x"), kxx)
         with pytest.raises(ValueError, match="pair"):
             g.matrix("y", "z")
 
@@ -230,6 +340,14 @@ class TestBuildGramPack:
             g.cross("x", "z")
 
     def test_arrays_read_only(self):
-        g = build_gram_pack([1.0, 2.0], [3.0, 4.0])
-        with pytest.raises(ValueError):
-            g.kxy[0, 0] = 99.0
+        x = np.array([1.0, 2.0])
+        g = build_gram_pack(x, [3.0, 4.0])
+        for sample in g.samples.values():
+            with pytest.raises(ValueError):
+                sample[0, 0] = 99.0
+        for st in g.stats.values():
+            for arr in (st.row_sums, st.col_sums):
+                with pytest.raises(ValueError):
+                    arr[0] = 99.0
+        x[0] = 5.0  # the caller's array stays writable, and the pack keeps its copy
+        assert g.samples["x"][0, 0] == 1.0

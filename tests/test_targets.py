@@ -49,3 +49,18 @@ def test_unknown_id_rejected(bad):
                              seed=0, targets=(bad,))
         with pytest.raises(ValueError, match="unknown target"):
             config.validate()
+
+
+@pytest.mark.parametrize("term_id,m,with_z,message", [
+    ("mu_sq_xx", 3, False, "requires m >= 4"),
+    ("prod_xx_xy", 2, False, "requires m >= 3"),
+    ("mu_xz", 4, False, "requires a z sample"),
+])
+def test_estimator_and_oracle_refuse_alike(term_id, m, with_z, message):
+    """Both evaluations check a row's minimum m and need for a z sample."""
+    x, y, z = mv.draw_replicate(MODELS["three_sample"][0], m, mv.replicate_rng(5, m), with_z)
+    g = mv.build_gram_pack(x, y, z)
+    with pytest.raises(ValueError, match=message):
+        mv.estimate_term(g, term_id)
+    with pytest.raises(ValueError, match=message):
+        oracle_term(g, term_id)
