@@ -154,8 +154,9 @@ def _estimate(args: argparse.Namespace, paths: list[str], fields: dict[str, str]
     except InputError as exc:
         return _fail(EXIT_INPUT, str(exc))
     try:
-        g = build_gram_pack(*samples, spec=spec)
-        rep = full_report(g, floor_epsilon=args.floor_eps)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
+            g = build_gram_pack(*samples, spec=spec)
+            rep = full_report(g, floor_epsilon=args.floor_eps)
         _emit({"m": g.m, "d": g.d, "kernel": _kernel_echo(g.spec),
                **{key: getattr(rep, attr) for key, attr in fields.items()}}, args.format)
     except ValueError as exc:
@@ -204,8 +205,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (InputError, ValueError) as exc:
         return _fail(EXIT_INPUT, str(exc))
     try:
-        unbiased = run_unbiasedness(config)
-        tracking = run_variance_tracking(config)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise
+            unbiased = run_unbiasedness(config)
+            tracking = run_variance_tracking(config)
     except ValueError as exc:
         return _fail(EXIT_INPUT, str(exc))
     all_pass = unbiased.all_passed and tracking.all_passed

@@ -10,10 +10,12 @@ sampled populations; ``a`` and ``b`` name populations ("x", "y" or "z").
 All estimators are O(m) reductions over the aggregates cached in a
 :class:`~mmdvar.kernels.GramPack`, so the total cost including the Gram
 aggregates is O(m^2) time and O(m B) memory, B the block of rows those
-aggregates are accumulated over.  Variance estimates are genuinely
-unbiased and may therefore be negative; callers that need a nonnegative
-number (e.g. for studentisation) should use the floored copies provided by
-:func:`full_report`.
+aggregates are accumulated over.  They are written over arrays: on a pack
+of stacked replicates each gives an array of estimates, bit for bit what
+each replicate's own pack gives as a NumPy scalar.  Variance estimates
+are genuinely unbiased and may therefore be negative; callers that need a
+nonnegative number (e.g. for studentisation) should use the floored
+copies provided by :func:`full_report`, whose fields are Python floats.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ def _require_m(g: GramPack, min_m: int, what: str) -> None:
         raise ValueError(f"{what} requires m >= {min_m}, got m = {g.m}")
 
 
-def _sq(v: np.ndarray) -> float:
-    return float(v @ v)
+def _sq(v: np.ndarray):
+    return np.vecdot(v, v)
 
 
 def mmd2_u(g: GramPack, pair: str = "xy") -> float:
@@ -103,7 +105,7 @@ def mu_dot_prod_own(g: GramPack, base: str, other: str) -> float:
     m = g.m
     w = g.within(base)
     c = g.cross(base, other)
-    num = w.total * c.total - 2.0 * float(w.row_sums @ c.row_sums)
+    num = w.total * c.total - 2.0 * np.vecdot(w.row_sums, c.row_sums)
     return num / (m * falling_factorial(m, 3))
 
 
@@ -114,7 +116,7 @@ def mu_dot_prod_shared(g: GramPack) -> float:
     m = g.m
     cy = g.cross("x", "y")
     cz = g.cross("x", "z")
-    num = cy.total * cz.total - float(cy.row_sums @ cz.row_sums)
+    num = cy.total * cz.total - np.vecdot(cy.row_sums, cz.row_sums)
     return num / (m ** 3 * (m - 1))
 
 
@@ -140,7 +142,7 @@ def phi_mu_prod_own(g: GramPack, base: str, other: str) -> float:
     m = g.m
     w = g.within(base)
     c = g.cross(base, other)
-    return float(w.row_sums @ c.row_sums) / (m * m * (m - 1))
+    return np.vecdot(w.row_sums, c.row_sums) / (m * m * (m - 1))
 
 
 def phi_mu_prod_shared(g: GramPack) -> float:
@@ -149,7 +151,7 @@ def phi_mu_prod_shared(g: GramPack) -> float:
         raise ValueError("E[<phi(x), mu_y><phi(x), mu_z>] estimator requires a z sample")
     cy = g.cross("x", "y")
     cz = g.cross("x", "z")
-    return float(cy.row_sums @ cz.row_sums) / g.m ** 3
+    return np.vecdot(cy.row_sums, cz.row_sums) / g.m ** 3
 
 
 def k2_mean(g: GramPack, a: str, b: str) -> float:
@@ -179,8 +181,8 @@ def mmd2_var(g: GramPack) -> float:
     c = g.cross("x", "y")
     r_xx, r_yy = _sq(wx.row_sums), _sq(wy.row_sums)
     r_xy, c_xy = _sq(c.row_sums), _sq(c.col_sums)
-    b_xx_xy = float(wx.row_sums @ c.row_sums)   # 1' Kxx~ Kxy 1
-    b_yy_yx = float(wy.row_sums @ c.col_sums)   # 1' Kyy~ Kxy' 1
+    b_xx_xy = np.vecdot(wx.row_sums, c.row_sums)   # 1' Kxx~ Kxy 1
+    b_yy_yx = np.vecdot(wy.row_sums, c.col_sums)   # 1' Kyy~ Kxy' 1
 
     m1, m2, m3 = m - 1, m - 2, m - 3
     return (
@@ -212,9 +214,9 @@ def mmd2_diff_var(g: GramPack) -> float:
     r_xy, c_xy = _sq(cy.row_sums), _sq(cy.col_sums)
     r_xz, c_xz = _sq(cz.row_sums), _sq(cz.col_sums)
     r_yy, r_zz = _sq(wy.row_sums), _sq(wz.row_sums)
-    b_xy_xz = float(cy.row_sums @ cz.row_sums)  # 1' Kxy' Kxz 1
-    b_yy_yx = float(wy.row_sums @ cy.col_sums)  # 1' Kyy~ Kxy' 1
-    b_zz_zx = float(wz.row_sums @ cz.col_sums)  # 1' Kzz~ Kxz' 1
+    b_xy_xz = np.vecdot(cy.row_sums, cz.row_sums)  # 1' Kxy' Kxz 1
+    b_yy_yx = np.vecdot(wy.row_sums, cy.col_sums)  # 1' Kyy~ Kxy' 1
+    b_zz_zx = np.vecdot(wz.row_sums, cz.col_sums)  # 1' Kzz~ Kxz' 1
 
     m1, m2, m3 = m - 1, m - 2, m - 3
     return (
@@ -281,4 +283,4 @@ def full_report(g: GramPack, floor_epsilon: float = 1e-12) -> EstimateReport:
     for name, value in rep.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} is not finite: kernel aggregates overflow float64")
-    return EstimateReport(m=g.m, kernel=g.spec, **rep)
+    return EstimateReport(m=g.m, kernel=g.spec, **{k: float(v) for k, v in rep.items()})

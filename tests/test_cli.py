@@ -168,6 +168,15 @@ class TestCmdMmd:
         assert lines["kernel.kind"] == "linear"
 
 
+def test_tsv_floats_are_plain(capsys, csv4):
+    """TSV writes floats with repr(); NumPy scalars would print as np.float64(...)."""
+    for argv in (("mmd", csv4["x"], csv4["y"]), ("relmmd", csv4["x"], csv4["y"], csv4["z"]),
+                 ("verify", "--replicates", "1000", "--m", "5", "--targets", "all",
+                  "--mean-z", "0.25", "--var-z", "1.0")):
+        _, out, _ = run_cli(capsys, *argv, "--format", "tsv")
+        assert out and "np." not in out, argv
+
+
 class TestCmdRelmmd:
     def test_derived_example(self, capsys, csv4):
         # frozen by a hand loop over the defining double sums
@@ -240,6 +249,27 @@ class TestCmdVerify:
                                "--mean-z", "0.1")
         assert code == EXIT_INPUT
         assert "both" in err
+
+    def test_overflowing_run_exits_2_naming_the_target(self, capsys):
+        """Every replicate rounds to the same samples near 1e76, so the
+        standard error is 0 and no z-score is finite; at a spread of 1e76 the
+        variance estimates overflow."""
+        for extra, message in (((), "target 'mmd2_var': z-score is not finite"),
+                               (("--var-x", "1e152", "--var-y", "1e152"),
+                                "target 'mmd2_var': replicate mean is not finite")):
+            code, out, err = run_cli(capsys, "verify", "--replicates", "1000", "--m", "4",
+                                     "--mean-x", "1e76", "--mean-y", "1e76", *extra)
+            assert code == EXIT_INPUT and out == ""
+            assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value", [("--mean-x", "nan"), ("--mean-z", "inf"),
+                                            ("--var-y", "inf")])
+    def test_non_finite_model_exits_2(self, capsys, flag, value):
+        args = {"--mean-z": "0.25", "--var-z": "1.0", flag: value}
+        code, out, err = run_cli(capsys, "verify", "--replicates", "1000",
+                                 *[tok for kv in args.items() for tok in kv])
+        assert code == EXIT_INPUT and out == ""
+        assert f"{flag[2:].replace('-', '_')} must be finite" in err
 
     def test_deterministic_output(self, capsys):
         args = ("verify", "--replicates", "1500", "--m", "5", "--seed", "9")

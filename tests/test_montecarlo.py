@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import mmdvar as mv
-from mmdvar import GaussianLinearModel, McConfig
+from mmdvar import GaussianLinearModel, KernelSpec, McConfig, kernels, montecarlo
 from mmdvar.montecarlo import _target_info, replicate_rng
+from mmdvar.oracle import TARGETS
 
 MODEL_XY = GaussianLinearModel(0.0, 1.0, 0.5, 2.0)
 MODEL_XYZ = GaussianLinearModel(0.0, 1.0, 0.5, 2.0, 0.25, 1.0)
@@ -157,3 +160,113 @@ class TestZScoreCalibration:
             if abs(z) > 3:
                 exceed += 1
         assert exceed <= 1
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestStackedEngine:
+    """The engine evaluates chunks of stacked replicates; every value must be
+    bit for bit what the replicate's own pack gives."""
+
+    @staticmethod
+    def _per_replicate(cfg, targets, with_z):
+        """Per replicate: its own stream, one ``gaussian_draw`` call per sample
+        (``draw_replicate``), its own pack and every estimator."""
+        values = {t: np.empty(cfg.replicates) for t in targets}
+        for rep in range(cfg.replicates):
+            x, y, z = mv.draw_replicate(cfg.model, cfg.m, replicate_rng(cfg.seed, rep), with_z)
+            g = mv.build_gram_pack(x, y, z)
+            for t in targets:
+                values[t][rep] = TARGETS[t].estimate(g)
+        return values
+
+    @pytest.mark.parametrize("model", [MODEL_XY, MODEL_XYZ], ids=["two", "three"])
+    @pytest.mark.parametrize("m", [4, 5, 8, 40])
+    @pytest.mark.parametrize("per_chunk", [None, 7], ids=["one_chunk", "ragged_chunks"])
+    def test_values_match_per_replicate_packs(self, model, m, per_chunk):
+        targets = mv.target_ids(model.has_z)
+        cfg = config(model=model, m=m, replicates=1000, seed=m, targets=targets)
+        # 7 replicates a chunk: 142 full chunks and a last one of 6
+        entries = montecarlo._CHUNK_ENTRIES if per_chunk is None else per_chunk * m * m
+        with mock.patch.object(montecarlo, "_CHUNK_ENTRIES", entries):
+            got = montecarlo._replicate_values(cfg, targets, model.has_z)
+        want = self._per_replicate(cfg, targets, model.has_z)
+        for t in targets:
+            np.testing.assert_array_equal(_bits(got[t]), _bits(want[t]), err_msg=t)
+
+    @pytest.mark.parametrize("spec", [KernelSpec.linear(), KernelSpec.polynomial(2, coef0=1.0),
+                                      KernelSpec.constant(0.7)], ids=["linear", "poly2", "const"])
+    @pytest.mark.parametrize("m,d,block", [(5, 1, None), (40, 3, None), (40, 3, 3),
+                                           (300, 2, None), (300, 2, 7)])
+    def test_stacked_pack_matches_separate_packs(self, rng, spec, m, d, block):
+        """Every GramStats field and every estimate; m = 300 with the
+        default block holds 256 x 300 blocks, summed one matrix at a time."""
+        stack = rng.normal(size=(3, 3, m, d))  # 3 populations x 3 replicates
+        with mock.patch.object(kernels, "_BLOCK", block or kernels._BLOCK):
+            g = mv.build_gram_pack(*stack, spec=spec)
+            alone = [mv.build_gram_pack(*stack[:, r], spec=spec) for r in range(3)]
+        assert (g.m, g.d) == (m, d) and g.samples["x"].shape == (3, m, d)
+        fields = ("row_sums", "col_sums", "total", "frob_sq", "trace")
+        for r, one in enumerate(alone):
+            for key, stats in one.stats.items():
+                for field in fields:
+                    stacked = getattr(g.stats[key], field)  # a zero trace stays a scalar
+                    got = stacked if np.ndim(stacked) == 0 else stacked[r]
+                    np.testing.assert_array_equal(_bits(got), _bits(getattr(stats, field)),
+                                                  err_msg=f"{key}.{field}")
+            for t, row in TARGETS.items():
+                if m >= row.min_m:
+                    assert _bits(row.estimate(g)[r]) == _bits(row.estimate(one)), t
+            np.testing.assert_array_equal(g.matrix("x", "x")[r], one.matrix("x", "x"))
+
+    def test_stacked_rbf_rejected(self, rng):
+        stack = rng.normal(size=(2, 4, 5, 2))
+        for spec in (KernelSpec.rbf("median"), KernelSpec.rbf(1.0)):
+            with pytest.raises(ValueError, match="one sample at a time"):
+                mv.build_gram_pack(stack[0], stack[1], spec=spec)
+        with pytest.raises(ValueError):  # cdist takes 2-d arrays only
+            mv.kernel_matrix(KernelSpec.rbf(1.0), stack[0], stack[1])
+
+    def test_non_finite_stack_rejected(self, rng):
+        stack = rng.normal(size=(2, 4, 5, 1))
+        stack[1, 2, 3, 0] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            mv.build_gram_pack(stack[0], stack[1])
+
+    def test_mismatched_stacks_rejected(self, rng):
+        with pytest.raises(ValueError, match="stacks differ"):
+            mv.build_gram_pack(rng.normal(size=(4, 5, 1)), rng.normal(size=(3, 5, 1)))
+
+
+class TestOutputTypes:
+    def test_entries_are_python_floats(self):
+        cfg = config(model=MODEL_XYZ, targets=mv.target_ids(True))
+        for rep in (mv.run_unbiasedness(cfg), mv.run_variance_tracking(cfg)):
+            for t, e in rep.entries.items():
+                for field in ("mean", "se", "truth", "z"):
+                    assert type(getattr(e, field)) is float, (rep.kind, t, field)
+                assert type(e.passed) is bool
+
+
+class TestNonFiniteReplicates:
+    @pytest.mark.parametrize("var,what", [(1e152, "replicate mean"), (1e150, "standard error")])
+    def test_overflowing_estimates_name_the_target(self, var, what):
+        """Finite kernel matrices whose variance estimates overflow float64
+        (at 1e152), or whose spread does when squared (at 1e150)."""
+        model = GaussianLinearModel(1e76, var, 1e76, var)
+        cfg = McConfig(model=model, m=4, replicates=1000, seed=0, targets=("mmd2", "mmd2_var"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=f"target 'mmd2_var': {what} is not finite"):
+                mv.run_unbiasedness(cfg)
+
+    def test_zero_spread_names_the_target(self):
+        """Means so large that every replicate rounds to the same samples:
+        a standard error of 0 leaves no finite z-score."""
+        model = GaussianLinearModel(1e76, 1.0, 1e76, 2.0)
+        cfg = McConfig(model=model, m=4, replicates=1000, seed=0, targets=("mmd2", "mmd2_var"))
+        with pytest.raises(ValueError, match="target 'mmd2_var': z-score is not finite"):
+            mv.run_unbiasedness(cfg)
+        with pytest.raises(ValueError, match="target 'mmd2': z-score is not finite"):
+            mv.run_variance_tracking(cfg)

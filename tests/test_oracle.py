@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,16 @@ class TestGaussianLinearMoments:
             GaussianLinearModel(0.0, 1.0, 0.0, 1.0, mean_z=1.0)
         with pytest.raises(ValueError, match="positive"):
             GaussianLinearModel(0.0, 1.0, 0.0, 1.0, mean_z=1.0, var_z=-1.0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("mean_x", math.nan), ("mean_y", math.inf), ("mean_z", -math.inf),
+        ("var_x", math.inf), ("var_z", math.inf), ("var_y", math.nan),
+    ])
+    def test_non_finite_parameters_named(self, name, value):
+        params = dict(mean_x=0.0, var_x=1.0, mean_y=0.5, var_y=2.0, mean_z=0.25, var_z=1.0)
+        params[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GaussianLinearModel(**params)
 
     def test_standard_normal_moments(self):
         mom = gaussian_linear_moments(GaussianLinearModel(0.0, 1.0, 0.0, 1.0))
