@@ -18,17 +18,9 @@ from .estimators import (
     EstimateReport,
     falling_factorial,
     full_report,
-    k2_mean,
     mmd2_diff_var,
     mmd2_u,
     mmd2_var,
-    mu_dot,
-    mu_dot_prod_own,
-    mu_dot_prod_shared,
-    mu_dot_sq,
-    phi_mu_prod_own,
-    phi_mu_prod_shared,
-    phi_mu_sq,
 )
 from .kernels import (
     MEDIAN,
@@ -76,21 +68,3 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EstimateReport", "falling_factorial", "full_report", "k2_mean",
-    "mmd2_diff_var", "mmd2_u", "mmd2_var", "mu_dot", "mu_dot_prod_own",
-    "mu_dot_prod_shared", "mu_dot_sq", "phi_mu_prod_own",
-    "phi_mu_prod_shared", "phi_mu_sq",
-    "MEDIAN", "GramPack", "GramStats", "KernelSpec", "build_gram_pack",
-    "eval_kernel", "kernel_matrix", "median_heuristic", "resolve_bandwidth",
-    "McConfig", "McEntry", "McReport", "draw_replicate", "replicate_rng",
-    "run_unbiasedness", "run_variance_tracking", "target_ids",
-    "TERMS", "THREE_SAMPLE_TERM_IDS", "TWO_SAMPLE_TERM_IDS",
-    "ComponentEstimates", "GaussianLinearModel", "PopulationMoments",
-    "diff_var_components", "diff_var_from_terms", "estimate_term", "gaussian_draw",
-    "gaussian_linear_moments", "mc_variance_components",
-    "mmd2_var_components", "mmd2_var_from_terms", "oracle_mmd2",
-    "oracle_term", "population_diff_var", "population_mmd2",
-    "population_mmd2_var", "sub_term_estimates", "u_stat_variance",
-]

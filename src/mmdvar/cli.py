@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
@@ -102,18 +103,6 @@ def _kernel_from_args(args: argparse.Namespace) -> KernelSpec:
         raise InputError(str(exc)) from None
 
 
-def _kernel_echo(spec: KernelSpec) -> dict[str, Any]:
-    echo: dict[str, Any] = {"kind": spec.kind}
-    if spec.kind == "rbf":
-        echo["bandwidth"] = spec.bandwidth
-    elif spec.kind == "polynomial":
-        echo["degree"] = spec.degree
-        echo["coef0"] = spec.coef0
-    elif spec.kind == "constant":
-        echo["value"] = spec.value
-    return echo
-
-
 def _flatten(payload: Any, prefix: str = "") -> list[tuple[str, Any]]:
     if isinstance(payload, dict):
         out: list[tuple[str, Any]] = []
@@ -157,7 +146,8 @@ def _estimate(args: argparse.Namespace, paths: list[str], fields: dict[str, str]
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
             g = build_gram_pack(*samples, spec=spec)
             rep = full_report(g, floor_epsilon=args.floor_eps)
-        _emit({"m": g.m, "d": g.d, "kernel": _kernel_echo(g.spec),
+        kernel = {k: v for k, v in asdict(g.spec).items() if v is not None}
+        _emit({"m": g.m, "d": g.d, "kernel": kernel,
                **{key: getattr(rep, attr) for key, attr in fields.items()}}, args.format)
     except ValueError as exc:
         return _fail(EXIT_PRECONDITION, str(exc))
@@ -202,6 +192,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                           seed=args.seed, targets=tuple(targets),
                           z_threshold=args.z_threshold)
         config.validate()
+        config.tracked()  # both passes' targets are checked before either runs
     except (InputError, ValueError) as exc:
         return _fail(EXIT_INPUT, str(exc))
     try:

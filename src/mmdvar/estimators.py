@@ -7,6 +7,11 @@ which is exactly what makes it unbiased.  The estimand of each function is
 written in its docstring using mean embeddings mu_a = E[phi(A)] of the
 sampled populations; ``a`` and ``b`` name populations ("x", "y" or "z").
 
+The sub-term estimators take the table's arguments unchecked: the target
+table :data:`mmdvar.oracle.TARGETS` alone decides which m and samples each
+admits, and ``estimate_term`` and ``sub_term_estimates`` reach them through
+it.  The headline estimators, which data reach directly, check their input.
+
 All estimators are O(m) reductions over the aggregates cached in a
 :class:`~mmdvar.kernels.GramPack`, so the total cost including the Gram
 aggregates is O(m^2) time and O(m B) memory, B the block of rows those
@@ -36,11 +41,6 @@ def falling_factorial(n: int, k: int) -> int:
     if n < k:
         raise ValueError(f"falling factorial needs n >= k, got n={n}, k={k}")
     return math.perm(n, k)
-
-
-def _require_m(g: GramPack, min_m: int, what: str) -> None:
-    if g.m < min_m:
-        raise ValueError(f"{what} requires m >= {min_m}, got m = {g.m}")
 
 
 def _sq(v: np.ndarray):
@@ -84,7 +84,6 @@ def mu_dot_sq(g: GramPack, a: str, b: str) -> float:
     """
     m = g.m
     if a == b:
-        _require_m(g, 4, "<mu_a, mu_a>^2 estimator")
         s = g.within(a)
         num = s.total * s.total - 4.0 * _sq(s.row_sums) + 2.0 * s.frob_sq
         return num / falling_factorial(m, 4)
@@ -99,9 +98,6 @@ def mu_dot_prod_own(g: GramPack, base: str, other: str) -> float:
     Both factors draw from ``base``, so the distinct-tuple correction couples
     the within and cross matrices; needs m >= 3.
     """
-    if base == other:
-        raise ValueError("populations must differ; use mu_dot_sq for the within square")
-    _require_m(g, 3, "<mu_a, mu_a><mu_a, mu_b> estimator")
     m = g.m
     w = g.within(base)
     c = g.cross(base, other)
@@ -109,14 +105,12 @@ def mu_dot_prod_own(g: GramPack, base: str, other: str) -> float:
     return num / (m * falling_factorial(m, 3))
 
 
-def mu_dot_prod_shared(g: GramPack) -> float:
-    """Unbiased estimate of <mu_x, mu_y> <mu_x, mu_z> (factors share the X sample)."""
-    if not g.has_z:
-        raise ValueError("<mu_x, mu_y><mu_x, mu_z> estimator requires a z sample")
+def mu_dot_prod_shared(g: GramPack, a: str, b: str) -> float:
+    """Unbiased estimate of <mu_x, mu_a> <mu_x, mu_b> (factors share the X sample)."""
     m = g.m
-    cy = g.cross("x", "y")
-    cz = g.cross("x", "z")
-    num = cy.total * cz.total - np.vecdot(cy.row_sums, cz.row_sums)
+    ca = g.cross("x", a)
+    cb = g.cross("x", b)
+    num = ca.total * cb.total - np.vecdot(ca.row_sums, cb.row_sums)
     return num / (m ** 3 * (m - 1))
 
 
@@ -128,7 +122,6 @@ def phi_mu_sq(g: GramPack, a: str, b: str) -> float:
     """
     m = g.m
     if a == b:
-        _require_m(g, 3, "E[<phi(a), mu_a>^2] estimator")
         s = g.within(a)
         return (_sq(s.row_sums) - s.frob_sq) / falling_factorial(m, 3)
     s = g.cross(a, b)
@@ -137,21 +130,17 @@ def phi_mu_sq(g: GramPack, a: str, b: str) -> float:
 
 def phi_mu_prod_own(g: GramPack, base: str, other: str) -> float:
     """Unbiased estimate of E[<phi(B), mu_base> <phi(B), mu_other>], B from ``base``."""
-    if base == other:
-        raise ValueError("populations must differ; use phi_mu_sq for the squared form")
     m = g.m
     w = g.within(base)
     c = g.cross(base, other)
     return np.vecdot(w.row_sums, c.row_sums) / (m * m * (m - 1))
 
 
-def phi_mu_prod_shared(g: GramPack) -> float:
-    """Unbiased estimate of E[<phi(X), mu_y> <phi(X), mu_z>]."""
-    if not g.has_z:
-        raise ValueError("E[<phi(x), mu_y><phi(x), mu_z>] estimator requires a z sample")
-    cy = g.cross("x", "y")
-    cz = g.cross("x", "z")
-    return np.vecdot(cy.row_sums, cz.row_sums) / g.m ** 3
+def phi_mu_prod_shared(g: GramPack, a: str, b: str) -> float:
+    """Unbiased estimate of E[<phi(X), mu_a> <phi(X), mu_b>]."""
+    ca = g.cross("x", a)
+    cb = g.cross("x", b)
+    return np.vecdot(ca.row_sums, cb.row_sums) / g.m ** 3
 
 
 def k2_mean(g: GramPack, a: str, b: str) -> float:
@@ -204,8 +193,6 @@ def mmd2_diff_var(g: GramPack) -> float:
     The two statistics share the X sample, so this is not a sum of two
     variances: the coupling enters through the K_XY'K_XZ cross aggregate.
     """
-    if not g.has_z:
-        raise ValueError("difference variance estimator requires a z sample")
     if g.m < 4:
         raise ValueError(f"variance estimator requires m ≥ 4, got m = {g.m}")
     m = int(g.m)

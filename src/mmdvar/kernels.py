@@ -457,9 +457,8 @@ def build_gram_pack(
     if lead and spec.kind == "rbf":
         raise ValueError("the rbf kernel takes one sample at a time, not a stack")
 
-    if spec.kind == "rbf" and spec.bandwidth == MEDIAN:
-        pooled = np.concatenate(list(samples.values()))
-        spec = replace(spec, bandwidth=_median_distance_from_sq(pooled))
+    if spec.kind == "rbf":
+        spec = resolve_bandwidth(spec, np.concatenate(list(samples.values())))
     stats = {key: _stats(spec, samples[key[0]], samples[key[1]], key[0] == key[1])
              for key in _PAIRS if key[1] in samples}
     return GramPack(m=m, d=d, spec=spec, samples=samples, stats=stats)

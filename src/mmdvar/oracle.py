@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -265,7 +266,7 @@ class PopulationMoments:
 
     def term(self, term_id: str) -> float:
         """Population value of a sub-term id."""
-        return _term_row(term_id).truth(self, None)
+        return TERMS[term_id].truth(self, None)
 
 
 def population_mmd2(mom: PopulationMoments, pair: str = "xy") -> float:
@@ -404,7 +405,7 @@ _FAMILIES = {
     "prod_own": (mu_dot_prod_own,
                  lambda g, a, b: _loop_prod_own(_mat(g, a, a), _mat(g, a, b), g.m),
                  lambda mom, a, b: mom.mu[a, a] * mom.mu[a, b]),
-    "prod_shared": (lambda g, a, b: mu_dot_prod_shared(g),
+    "prod_shared": (mu_dot_prod_shared,
                     lambda g, a, b: _loop_prod_shared(_mat(g, "x", a), _mat(g, "x", b), g.m),
                     lambda mom, a, b: mom.mu["x", a] * mom.mu["x", b]),
     "ephi2": (phi_mu_sq, _loop_ab(_loop_phi_sq_within, _loop_phi_sq_cross),
@@ -412,7 +413,7 @@ _FAMILIES = {
     "ephi_own": (phi_mu_prod_own,
                  lambda g, a, b: _loop_phi_prod_own(_mat(g, a, a), _mat(g, a, b), g.m),
                  lambda mom, a, b: mom.phi_prod[a, a, b]),
-    "ephi_shared": (lambda g, a, b: phi_mu_prod_shared(g),
+    "ephi_shared": (phi_mu_prod_shared,
                     lambda g, a, b: _loop_phi_prod_shared(_mat(g, "x", a), _mat(g, "x", b), g.m),
                     lambda mom, a, b: mom.phi_prod["x", a, b]),
     "ek2": (k2_mean, _loop_ab(_loop_k2_within, _loop_k2_cross),
@@ -455,7 +456,7 @@ TERMS: dict[str, Target] = {t: _term(*row) for t, row in {
     "ephi_xx_xy": ("ephi_own", "x", "y", 2),
     "ephi_yy_yx": ("ephi_own", "y", "x", 2),
     "ephi_zz_zx": ("ephi_own", "z", "x", 2),
-    "ephi_xy_xz": ("ephi_shared", "y", "z", 1),
+    "ephi_xy_xz": ("ephi_shared", "y", "z", 2),
     "ek2_xx": ("ek2", "x", "x", 2),
     "ek2_yy": ("ek2", "y", "y", 2),
     "ek2_zz": ("ek2", "z", "z", 2),
@@ -480,34 +481,45 @@ TARGETS: dict[str, Target] = {
 }
 
 
-def _term_row(term_id: str, g: GramPack | None = None) -> Target:
-    """The row of a sub-term id, checked against the pack's m and samples if given."""
-    if term_id not in TERMS:
-        raise ValueError(f"unknown term id {term_id!r}")
-    row = TERMS[term_id]
-    if g is not None and row.needs_z and not g.has_z:
-        raise ValueError(f"term {term_id!r} requires a z sample")
-    if g is not None and g.m < row.min_m:
-        raise ValueError(f"term {term_id!r} requires m >= {row.min_m}, got m = {g.m}")
+def _refusal(row: Target, m: int, has_z: bool) -> str | None:
+    """Why a row cannot be evaluated at sample size m, with or without a z
+    sample, or None if it can: the one place either is decided."""
+    if m < row.min_m:
+        return f"requires m >= {row.min_m}, got m = {m}"
+    if row.needs_z and not has_z:
+        return "requires a z sample"
+    return None
+
+
+def check_target(target_id: str, m: int, has_z: bool, sub_term: bool = False) -> Target:
+    """The row of a target id (of a sub-term id if ``sub_term``), refusing an
+    unknown id and a sample size or set of samples the row does not admit."""
+    table, kind = (TERMS, "term id") if sub_term else (TARGETS, "target")
+    if target_id not in table:
+        raise ValueError(f"unknown {kind} {target_id!r}")
+    row = table[target_id]
+    why = _refusal(row, m, has_z)
+    if why is not None:
+        raise ValueError(f"target {target_id!r} {why}")
     return row
 
 
 def estimate_term(g: GramPack, term_id: str) -> float:
     """Evaluate one sub-term estimator by id."""
-    return _term_row(term_id, g).estimate(g)
+    return check_target(term_id, g.m, g.has_z, sub_term=True).estimate(g)
 
 
 def sub_term_estimates(g: GramPack) -> dict[str, float]:
     """Every sub-term estimate whose minimum m, and need for a z sample, the pack meets."""
     return {t: row.estimate(g) for t, row in TERMS.items()
-            if g.m >= row.min_m and (g.has_z or not row.needs_z)}
+            if _refusal(row, g.m, g.has_z) is None}
 
 
 def oracle_term(g: GramPack, term_id: str) -> float:
     """Nested-loop evaluation of one sub-term; the ground truth the matrix
     estimators are checked against."""
     _guard(g)
-    return _term_row(term_id, g).loop(g)
+    return check_target(term_id, g.m, g.has_z, sub_term=True).loop(g)
 
 
 # ---------------------------------------------------------------------------
@@ -562,32 +574,18 @@ def gaussian_linear_moments(model: GaussianLinearModel) -> PopulationMoments:
     <mu_a, mu_b> = a b;  E[<phi(A), mu_b>^2] = (a^2 + va) b^2;
     E[<phi(A), mu_b><phi(A), mu_c>] = (a^2 + va) b c;
     E[k(A, B)^2] = (a^2 + va)(b^2 + vb).
+
+    Each table holds its formula at every pair (or triple) of the model's
+    populations.
     """
     pops = ["x", "y"] + (["z"] if model.has_z else [])
     mean = {p: model.params(p)[0] for p in pops}
     second = {p: mean[p] ** 2 + model.params(p)[1] for p in pops}
-
-    mu: dict[Pair, float] = {}
-    phi_sq: dict[Pair, float] = {}
-    k2: dict[Pair, float] = {}
-    for a in pops:
-        mu[(a, a)] = mean[a] * mean[a]
-        phi_sq[(a, a)] = second[a] * mu[(a, a)]
-        k2[(a, a)] = second[a] * second[a]
-    cross_pairs = [("x", "y")] + ([("x", "z")] if model.has_z else [])
-    for a, b in cross_pairs:
-        mu[(a, b)] = mean[a] * mean[b]
-        phi_sq[(a, b)] = second[a] * mean[b] ** 2
-        phi_sq[(b, a)] = second[b] * mean[a] ** 2
-        k2[(a, b)] = second[a] * second[b]
-
-    phi_prod = {
-        ("x", "x", "y"): second["x"] * mean["x"] * mean["y"],
-        ("y", "y", "x"): second["y"] * mean["y"] * mean["x"],
-    }
-    if model.has_z:
-        phi_prod[("z", "z", "x")] = second["z"] * mean["z"] * mean["x"]
-        phi_prod[("x", "y", "z")] = second["x"] * mean["y"] * mean["z"]
+    pairs = list(product(pops, repeat=2))
+    mu = {(a, b): mean[a] * mean[b] for a, b in pairs}
+    phi_sq = {(a, b): second[a] * (mean[b] * mean[b]) for a, b in pairs}
+    phi_prod = {(a, b, c): second[a] * mean[b] * mean[c] for a, b, c in product(pops, repeat=3)}
+    k2 = {(a, b): second[a] * second[b] for a, b in pairs}
     return PopulationMoments(mu=mu, phi_sq=phi_sq, phi_prod=phi_prod, k2=k2)
 
 

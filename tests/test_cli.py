@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from mmdvar import montecarlo
 from mmdvar.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -261,6 +262,16 @@ class TestCmdVerify:
                                      "--mean-x", "1e76", "--mean-y", "1e76", *extra)
             assert code == EXIT_INPUT and out == ""
             assert message in err and "Traceback" not in err
+
+    def test_variance_tracking_precondition_fails_before_any_draw(self, capsys, monkeypatch):
+        """m = 3 admits the unbiasedness targets but not variance tracking's
+        'mmd2_var': verify refuses before either pass draws a replicate."""
+        def no_draws(*args):
+            raise AssertionError("a replicate was drawn")
+        monkeypatch.setattr(montecarlo, "replicate_rng", no_draws)
+        code, out, err = run_cli(capsys, "verify", "--targets", "mmd2", "--m", "3")
+        assert code == EXIT_INPUT and out == ""
+        assert "'mmd2_var'" in err and "m >= 4" in err
 
     @pytest.mark.parametrize("flag,value", [("--mean-x", "nan"), ("--mean-z", "inf"),
                                             ("--var-y", "inf")])

@@ -33,7 +33,7 @@ class TestConfigValidation:
             config(m=3, targets=("mmd2_var",)).validate()
 
     def test_z_targets_need_z_model(self):
-        with pytest.raises(ValueError, match="z population"):
+        with pytest.raises(ValueError, match="requires a z sample"):
             config(model=MODEL_XY, targets=("diff",)).validate()
 
     def test_no_targets(self):

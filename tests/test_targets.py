@@ -2,12 +2,13 @@
 a finite population value and, for sub-terms, a nested-loop twin."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import mmdvar as mv
-from mmdvar.oracle import TARGETS, TERMS, oracle_term
+from mmdvar.oracle import TARGETS, TERMS, check_target, oracle_term
 
 from conftest import rel_close
 
@@ -51,16 +52,37 @@ def test_unknown_id_rejected(bad):
             config.validate()
 
 
-@pytest.mark.parametrize("term_id,m,with_z,message", [
-    ("mu_sq_xx", 3, False, "requires m >= 4"),
-    ("prod_xx_xy", 2, False, "requires m >= 3"),
-    ("mu_xz", 4, False, "requires a z sample"),
-])
+def _gate_cases():
+    """(target, m, with_z, reason): each target at its minimum m with every
+    sample (reason None), one below that minimum, and without a z sample it needs."""
+    for t, row in TARGETS.items():
+        yield t, row.min_m, True, None
+        if row.min_m > 2:  # no pack has m < 2
+            yield t, row.min_m - 1, row.needs_z, f"requires m >= {row.min_m}"
+        if row.needs_z:
+            yield t, max(row.min_m, 4), False, "requires a z sample"
+
+
+@pytest.mark.parametrize("term_id,m,with_z,message", list(_gate_cases()))
 def test_estimator_and_oracle_refuse_alike(term_id, m, with_z, message):
-    """Both evaluations check a row's minimum m and need for a z sample."""
-    x, y, z = mv.draw_replicate(MODELS["three_sample"][0], m, mv.replicate_rng(5, m), with_z)
+    """The table is the only guard: the estimator and oracle of a sub-term and
+    the harness's validation admit a target at its minimum m and refuse it,
+    with the gate's message, below that or without a z sample it needs."""
+    model = MODELS["three_sample" if with_z else "two_sample"][0]
+    x, y, z = mv.draw_replicate(model, m, mv.replicate_rng(5, m), with_z)
     g = mv.build_gram_pack(x, y, z)
-    with pytest.raises(ValueError, match=message):
-        mv.estimate_term(g, term_id)
-    with pytest.raises(ValueError, match=message):
-        oracle_term(g, term_id)
+    config = mv.McConfig(model=model, m=m, replicates=1000, seed=0, targets=(term_id,))
+    if term_id in TERMS:
+        evaluations = [lambda: mv.estimate_term(g, term_id), lambda: oracle_term(g, term_id)]
+    else:
+        evaluations = [lambda: check_target(term_id, m, with_z).estimate(g)]
+    if message is None:
+        config.validate()
+        for evaluate in evaluations:
+            assert math.isfinite(evaluate()), term_id
+        return
+    if message.startswith("requires m"):
+        message += f", got m = {m}"
+    for evaluate in [config.validate, *evaluations]:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'target {term_id!r} {message}')}$"):
+            evaluate()
