@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -47,24 +48,25 @@ class InputError(Exception):
 def load_csv(path: str) -> np.ndarray:
     """Read a rectangular numeric CSV into an m x d matrix, row order preserved.
 
-    A row whose first cell does not parse as a number is treated as a header
-    and skipped.  Ragged rows, and non-numeric or non-finite cells elsewhere,
-    are errors.
+    The text is UTF-8, with or without a byte-order mark.  The first
+    non-blank row is a header, and skipped, if its first cell does not parse
+    as a number.  Ragged rows, and non-numeric or non-finite cells in any
+    other row, are errors.
     """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
     rows: dict[int, list[float]] = {}  # file line number -> cells
     width: int | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in lines:
         cells = [c.strip() for c in line.split(",")]
-        try:
-            float(cells[0])
-        except ValueError:
-            continue  # header row
+        if lineno == lines[0][0]:
+            try:
+                float(cells[0])
+            except ValueError:
+                continue  # header row
         vals: list[float] = []
         for idx, cell in enumerate(cells):
             try:
@@ -138,8 +140,8 @@ def _estimate(args: argparse.Namespace, paths: list[str], fields: dict[str, str]
     try:
         samples = [load_csv(path) for path in paths]
         spec = _kernel_from_args(args)
-        if not args.floor_eps > 0:
-            raise InputError("--floor-eps must be positive")
+        if not 0.0 < args.floor_eps < math.inf:
+            raise InputError("--floor-eps must be positive and finite")
     except InputError as exc:
         return _fail(EXIT_INPUT, str(exc))
     try:

@@ -57,8 +57,8 @@ def mmd2_u(g: GramPack, pair: str = "xy") -> float:
     if pair not in ("xy", "xz"):
         raise ValueError(f"pair must be 'xy' or 'xz', got {pair!r}")
     b = pair[1]
-    waa, wbb = g.within("x"), g.within(b)
-    cab = g.cross("x", b)
+    waa, wbb = g["xx"], g[b + b]
+    cab = g["x" + b]
     off_diag_cross = cab.total - cab.trace
     return (waa.total + wbb.total - 2.0 * off_diag_cross) / falling_factorial(g.m, 2)
 
@@ -70,9 +70,7 @@ def mmd2_u(g: GramPack, pair: str = "xy") -> float:
 def mu_dot(g: GramPack, a: str, b: str) -> float:
     """Unbiased estimate of <mu_a, mu_b>."""
     m = g.m
-    if a == b:
-        return g.within(a).total / falling_factorial(m, 2)
-    return g.cross(a, b).total / (m * m)
+    return g[a + b].total / (falling_factorial(m, 2) if a == b else m * m)
 
 
 def mu_dot_sq(g: GramPack, a: str, b: str) -> float:
@@ -83,12 +81,11 @@ def mu_dot_sq(g: GramPack, a: str, b: str) -> float:
     for the within form (four distinct points) and m >= 2 for the cross form.
     """
     m = g.m
+    s = g[a + b]
     if a == b:
-        s = g.within(a)
         num = s.total * s.total - 4.0 * _sq(s.row_sums) + 2.0 * s.frob_sq
         return num / falling_factorial(m, 4)
-    s = g.cross(a, b)
-    num = s.total * s.total - _sq(s.col_sums) - _sq(s.row_sums) + s.frob_sq
+    num = s.total * s.total - _sq(g[b + a].row_sums) - _sq(s.row_sums) + s.frob_sq
     return num / (m * m * (m - 1) * (m - 1))
 
 
@@ -99,8 +96,8 @@ def mu_dot_prod_own(g: GramPack, base: str, other: str) -> float:
     the within and cross matrices; needs m >= 3.
     """
     m = g.m
-    w = g.within(base)
-    c = g.cross(base, other)
+    w = g[base + base]
+    c = g[base + other]
     num = w.total * c.total - 2.0 * np.vecdot(w.row_sums, c.row_sums)
     return num / (m * falling_factorial(m, 3))
 
@@ -108,8 +105,8 @@ def mu_dot_prod_own(g: GramPack, base: str, other: str) -> float:
 def mu_dot_prod_shared(g: GramPack, a: str, b: str) -> float:
     """Unbiased estimate of <mu_x, mu_a> <mu_x, mu_b> (factors share the X sample)."""
     m = g.m
-    ca = g.cross("x", a)
-    cb = g.cross("x", b)
+    ca = g["x" + a]
+    cb = g["x" + b]
     num = ca.total * cb.total - np.vecdot(ca.row_sums, cb.row_sums)
     return num / (m ** 3 * (m - 1))
 
@@ -121,34 +118,29 @@ def phi_mu_sq(g: GramPack, a: str, b: str) -> float:
     m >= 2 otherwise.
     """
     m = g.m
-    if a == b:
-        s = g.within(a)
-        return (_sq(s.row_sums) - s.frob_sq) / falling_factorial(m, 3)
-    s = g.cross(a, b)
-    return (_sq(s.row_sums) - s.frob_sq) / (m * m * (m - 1))
+    s = g[a + b]
+    return (_sq(s.row_sums) - s.frob_sq) / (falling_factorial(m, 3) if a == b else m * m * (m - 1))
 
 
 def phi_mu_prod_own(g: GramPack, base: str, other: str) -> float:
     """Unbiased estimate of E[<phi(B), mu_base> <phi(B), mu_other>], B from ``base``."""
     m = g.m
-    w = g.within(base)
-    c = g.cross(base, other)
+    w = g[base + base]
+    c = g[base + other]
     return np.vecdot(w.row_sums, c.row_sums) / (m * m * (m - 1))
 
 
 def phi_mu_prod_shared(g: GramPack, a: str, b: str) -> float:
     """Unbiased estimate of E[<phi(X), mu_a> <phi(X), mu_b>]."""
-    ca = g.cross("x", a)
-    cb = g.cross("x", b)
+    ca = g["x" + a]
+    cb = g["x" + b]
     return np.vecdot(ca.row_sums, cb.row_sums) / g.m ** 3
 
 
 def k2_mean(g: GramPack, a: str, b: str) -> float:
     """Unbiased estimate of E[k(A, B)^2] (two independent draws when a == b)."""
     m = g.m
-    if a == b:
-        return g.within(a).frob_sq / falling_factorial(m, 2)
-    return g.cross(a, b).frob_sq / (m * m)
+    return g[a + b].frob_sq / (falling_factorial(m, 2) if a == b else m * m)
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +158,12 @@ def mmd2_var(g: GramPack) -> float:
     if g.m < 4:
         raise ValueError(f"variance estimator requires m ≥ 4, got m = {g.m}")
     m = int(g.m)
-    wx, wy = g.within("x"), g.within("y")
-    c = g.cross("x", "y")
+    wx, wy = g["xx"], g["yy"]
+    c = g["xy"]
     r_xx, r_yy = _sq(wx.row_sums), _sq(wy.row_sums)
-    r_xy, c_xy = _sq(c.row_sums), _sq(c.col_sums)
-    b_xx_xy = np.vecdot(wx.row_sums, c.row_sums)   # 1' Kxx~ Kxy 1
-    b_yy_yx = np.vecdot(wy.row_sums, c.col_sums)   # 1' Kyy~ Kxy' 1
+    r_xy, c_xy = _sq(c.row_sums), _sq(g["yx"].row_sums)
+    b_xx_xy = np.vecdot(wx.row_sums, c.row_sums)         # 1' Kxx~ Kxy 1
+    b_yy_yx = np.vecdot(wy.row_sums, g["yx"].row_sums)   # 1' Kyy~ Kxy' 1
 
     m1, m2, m3 = m - 1, m - 2, m - 3
     return (
@@ -196,14 +188,14 @@ def mmd2_diff_var(g: GramPack) -> float:
     if g.m < 4:
         raise ValueError(f"variance estimator requires m ≥ 4, got m = {g.m}")
     m = int(g.m)
-    wy, wz = g.within("y"), g.within("z")
-    cy, cz = g.cross("x", "y"), g.cross("x", "z")
-    r_xy, c_xy = _sq(cy.row_sums), _sq(cy.col_sums)
-    r_xz, c_xz = _sq(cz.row_sums), _sq(cz.col_sums)
+    wy, wz = g["yy"], g["zz"]
+    cy, cz = g["xy"], g["xz"]
+    r_xy, c_xy = _sq(cy.row_sums), _sq(g["yx"].row_sums)
+    r_xz, c_xz = _sq(cz.row_sums), _sq(g["zx"].row_sums)
     r_yy, r_zz = _sq(wy.row_sums), _sq(wz.row_sums)
-    b_xy_xz = np.vecdot(cy.row_sums, cz.row_sums)  # 1' Kxy' Kxz 1
-    b_yy_yx = np.vecdot(wy.row_sums, cy.col_sums)  # 1' Kyy~ Kxy' 1
-    b_zz_zx = np.vecdot(wz.row_sums, cz.col_sums)  # 1' Kzz~ Kxz' 1
+    b_xy_xz = np.vecdot(cy.row_sums, cz.row_sums)       # 1' Kxy' Kxz 1
+    b_yy_yx = np.vecdot(wy.row_sums, g["yx"].row_sums)  # 1' Kyy~ Kxy' 1
+    b_zz_zx = np.vecdot(wz.row_sums, g["zx"].row_sums)  # 1' Kzz~ Kxz' 1
 
     m1, m2, m3 = m - 1, m - 2, m - 3
     return (
@@ -253,10 +245,13 @@ class EstimateReport:
 def full_report(g: GramPack, floor_epsilon: float = 1e-12) -> EstimateReport:
     """Compute every headline estimate for the pack in one call.
 
-    Raises ValueError naming the first estimate that is not finite.
+    Takes one dataset, not a stack of replicates.  Raises ValueError
+    naming the first estimate that is not finite.
     """
-    if not floor_epsilon > 0.0:
-        raise ValueError("floor_epsilon must be positive")
+    if not 0.0 < floor_epsilon < math.inf:
+        raise ValueError("floor_epsilon must be positive and finite")
+    if g.samples["x"].ndim != 2:
+        raise ValueError("full_report takes one dataset, not a stack of replicates")
     rep = {"mmd2_xy": mmd2_u(g, "xy"), "vhat": mmd2_var(g)}
     rep["vhat_floored"] = max(rep["vhat"], floor_epsilon)
     if g.has_z:

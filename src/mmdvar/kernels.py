@@ -1,11 +1,12 @@
 """Kernel functions and the cached aggregates of their Gram matrices.
 
 Everything downstream works off a :class:`GramPack`: the samples and, for
-each cross matrix and each within-sample matrix with its diagonal zeroed
-(so sums range over distinct index pairs), the row, column and grand sums,
-squared Frobenius norm and trace.  These and the median bandwidth are
-accumulated over blocks of rows, never holding an m x m matrix: O(m^2)
-time, O(m * _BLOCK) memory.  Estimators are O(m) reductions over them.
+each ordered pair of populations (``xy`` and its transpose ``yx``, and
+``xx`` with its diagonal zeroed so sums range over distinct index pairs),
+the row and grand sums, squared Frobenius norm and trace of that kernel
+matrix.  These and the median bandwidth are accumulated over blocks of
+rows, never holding an m x m matrix: O(m^2) time, O(m * _BLOCK) memory.
+Estimators are O(m) reductions over them.
 
 Samples stacked along a leading replicate axis, (R, m, d) arrays, give a
 pack whose aggregates are stacked along it too, each bit for bit what that
@@ -62,8 +63,12 @@ class KernelSpec:
             if isinstance(self.bandwidth, str):
                 if self.bandwidth != MEDIAN:
                     raise ValueError(f"bandwidth must be a number or {MEDIAN!r}")
-            elif not float(self.bandwidth) > 0.0:
-                raise ValueError("rbf bandwidth must be strictly positive")
+            else:  # the kernel scales distances by -1 / (2 sigma^2)
+                sigma = float(self.bandwidth)
+                two_var = 2.0 * sigma * sigma  # not sigma ** 2, which raises on overflow
+                if not (sigma > 0.0 and 0.0 < two_var < math.inf and 1.0 / two_var < math.inf):
+                    raise ValueError(f"rbf bandwidth must be positive, with 2 sigma^2 and "
+                                     f"1 / (2 sigma^2) finite and nonzero, got {sigma!r}")
         elif self.kind == "polynomial":
             if self.degree is None or int(self.degree) != self.degree or self.degree < 1:
                 raise ValueError("polynomial kernel requires integer degree >= 1")
@@ -286,18 +291,13 @@ def resolve_bandwidth(spec: KernelSpec, pooled: np.ndarray) -> KernelSpec:
 @dataclass(frozen=True)
 class GramStats:
     """Cached aggregates of one kernel matrix, or of a stack of them: then
-    the sums are (R, m) arrays and the scalars (R,) arrays (a trace known to
-    be 0 stays a scalar)."""
+    the row sums are (R, m) arrays and the scalars (R,) arrays (a trace known
+    to be 0 stays a scalar)."""
 
-    row_sums: np.ndarray
-    col_sums: np.ndarray
+    row_sums: np.ndarray  # K 1
     total: float      # grand sum 1' K 1
     frob_sq: float    # ||K||_F^2
     trace: float
-
-    def swapped(self) -> "GramStats":
-        """Aggregates of the transposed matrix."""
-        return GramStats(self.col_sums, self.row_sums, self.total, self.frob_sq, self.trace)
 
 
 def _sum_sq(k: np.ndarray):
@@ -312,10 +312,12 @@ def _sum_sq(k: np.ndarray):
     return np.einsum("...ij,...ij->...", k, k)
 
 
-def _stats(spec: KernelSpec, a: np.ndarray, b: np.ndarray, within: bool) -> GramStats:
-    """Aggregates of K[i, j] = k(a_i, b_j) for samples of equal size m,
-    accumulated over blocks of at most ``_BLOCK`` rows; stacked samples give
-    stacked aggregates, each summed in the order of a lone sample's.
+def _stats(spec: KernelSpec, a: np.ndarray, b: np.ndarray,
+           within: bool) -> tuple[GramStats, GramStats]:
+    """Aggregates of K[i, j] = k(a_i, b_j) and of its transpose, for samples
+    of equal size m, accumulated over blocks of at most ``_BLOCK`` rows;
+    stacked samples give stacked aggregates, each summed in the order of a
+    lone sample's.  The transpose's row sums are K's column sums.
 
     ``within`` means b is a: the diagonal is zeroed and only the upper
     triangle is evaluated, each block from its own diagonal rightwards; the
@@ -348,10 +350,7 @@ def _stats(spec: KernelSpec, a: np.ndarray, b: np.ndarray, within: bool) -> Gram
     col_sums = row_sums if within else col_sums
     row_sums.setflags(write=False)
     col_sums.setflags(write=False)
-    return GramStats(row_sums, col_sums, total, frob_sq, trace)
-
-
-_CROSS_KEYS = {("x", "y"): "xy", ("x", "z"): "xz"}
+    return GramStats(row_sums, total, frob_sq, trace), GramStats(col_sums, total, frob_sq, trace)
 
 
 @dataclass(frozen=True)
@@ -359,11 +358,15 @@ class GramPack:
     """Samples X, Y (and optionally Z), their kernel, and the aggregates of
     every kernel matrix the estimators read.
 
-    The within-sample aggregates are those of the matrix with its diagonal
-    zeroed, so any full sum over it is a sum over distinct index pairs.  No
-    m x m matrix is stored: :meth:`matrix` recomputes one on demand.  Samples
-    and aggregates are read-only; the pack is safe for concurrent use.  A
-    pack of stacked samples holds R replicates of size m at once.
+    ``stats`` holds one :class:`GramStats` per ordered pair of populations
+    indexing a matrix's rows and columns: ``xx``, ``yy``, ``xy``, ``yx`` and,
+    with a Z sample, ``zz``, ``xz``, ``zx``; ``g["yx"]`` is the transpose of
+    K_XY, whose row sums are K_XY's column sums.  The within-sample
+    aggregates are those of the matrix with its diagonal zeroed, so any full
+    sum over it is a sum over distinct index pairs.  No m x m matrix is
+    stored: :meth:`matrix` recomputes one on demand.  Samples and aggregates
+    are read-only; the pack is safe for concurrent use.  A pack of stacked
+    samples holds R replicates of size m at once.
     """
 
     m: int
@@ -376,22 +379,14 @@ class GramPack:
     def has_z(self) -> bool:
         return "z" in self.samples
 
-    def within(self, pop: str) -> GramStats:
-        """Aggregates of the zero-diagonal within-sample matrix of ``pop``."""
-        if pop not in ("x", "y", "z"):
-            raise ValueError(f"unknown population {pop!r}")
-        if pop not in self.samples:
-            raise ValueError("no z sample in this GramPack")
-        return self.stats[pop + pop]
-
-    def cross(self, a: str, b: str) -> GramStats:
-        """Aggregates of the cross matrix oriented with rows indexed by ``a``."""
-        key = _CROSS_KEYS.get((a, b)) or _CROSS_KEYS.get((b, a))
-        if key is None:
-            raise ValueError(f"no kernel matrix for pair ({a!r}, {b!r})")
-        if key not in self.stats:
-            raise ValueError("no z sample in this GramPack")
-        return self.stats[key] if (a, b) in _CROSS_KEYS else self.stats[key].swapped()
+    def __getitem__(self, pair: str) -> GramStats:
+        """Aggregates of the matrix with rows indexed by ``pair[0]`` and
+        columns by ``pair[1]``, such as ``g["xy"]``."""
+        if pair not in self.stats:
+            if pair in _PAIRS or pair[::-1] in _PAIRS:
+                raise ValueError("no z sample in this GramPack")
+            raise ValueError(f"no kernel matrix for pair {pair!r}")
+        return self.stats[pair]
 
     def matrix(self, a: str, b: str) -> np.ndarray:
         """The kernel matrix with rows indexed by ``a`` and columns by ``b``,
@@ -400,12 +395,9 @@ class GramPack:
         Within-sample pairs have the diagonal zeroed; reversed cross pairs
         return the transpose of the forward matrix.
         """
-        if a == b:
-            self.within(a)  # raises for a sample the pack lacks
-        else:
-            self.cross(a, b)  # raises for a pair or sample the pack lacks
-            if (a, b) not in _CROSS_KEYS:
-                return self.matrix(b, a).T
+        self[a + b]  # raises for a pair or sample the pack lacks
+        if a + b not in _PAIRS:
+            return self.matrix(b, a).T
         k = kernel_matrix(self.spec, self.samples[a], self.samples[b])
         if a == b:
             k[..., range(self.m), range(self.m)] = 0.0
@@ -423,7 +415,8 @@ def _as_sample(arr: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
-#: The kernel matrices the estimators read, as (rows, columns) populations.
+#: The kernel matrices computed, as (rows, columns) populations; each also
+#: gives the aggregates of its transpose.
 _PAIRS = ("xy", "xx", "yy", "xz", "zz")
 
 
@@ -459,6 +452,9 @@ def build_gram_pack(
 
     if spec.kind == "rbf":
         spec = resolve_bandwidth(spec, np.concatenate(list(samples.values())))
-    stats = {key: _stats(spec, samples[key[0]], samples[key[1]], key[0] == key[1])
-             for key in _PAIRS if key[1] in samples}
+    stats = {}
+    for key in _PAIRS:
+        if key[1] in samples:
+            stats[key], stats[key[::-1]] = _stats(spec, samples[key[0]], samples[key[1]],
+                                                  key[0] == key[1])
     return GramPack(m=m, d=d, spec=spec, samples=samples, stats=stats)

@@ -71,6 +71,25 @@ class TestLoadCsv:
         path = write(tmp_path, "a.csv", "9\n1\n5\n7\n")
         np.testing.assert_array_equal(load_csv(path).ravel(), [9.0, 1.0, 5.0, 7.0])
 
+    @pytest.mark.parametrize("header", ["", "a,b\n"])
+    def test_byte_order_mark_ignored(self, tmp_path, header):
+        plain = write(tmp_path, "plain.csv", header + "1,2\n3,4\n")
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+        np.testing.assert_array_equal(load_csv(str(tmp_path / "bom.csv")), load_csv(plain))
+        assert load_csv(plain).shape == (2, 2)
+
+    @pytest.mark.parametrize("text", ["1,2\nfoo,bar\n3,4\n", "a,b\n\n1,2\nfoo,bar\n3,4\n"])
+    def test_only_first_row_may_be_header(self, tmp_path, text):
+        path = write(tmp_path, "a.csv", text)
+        row = text.split("\n").index("foo,bar") + 1
+        with pytest.raises(InputError, match=f"non-numeric cell 1 in row {row}$"):
+            load_csv(path)
+
+    def test_undecodable_file(self, tmp_path):
+        (tmp_path / "a.csv").write_bytes(b"caf\xe9\n1\n2\n")  # Latin-1, not UTF-8
+        with pytest.raises(InputError, match="cannot read"):
+            load_csv(str(tmp_path / "a.csv"))
+
 
 @pytest.fixture
 def csv4(tmp_path):
@@ -144,6 +163,26 @@ class TestCmdMmd:
         code, _, err = run_cli(capsys, "mmd", csv4["x"], csv4["y"],
                                "--kernel", "poly", "--degree", "0")
         assert code == EXIT_INPUT and "degree" in err
+
+    @pytest.mark.parametrize("bw", ["inf", "nan", "1e-300", "1e-160", "1e200"])
+    def test_bandwidth_outside_float_range_exits_2(self, capsys, csv4, bw):
+        code, out, err = run_cli(capsys, "mmd", csv4["x"], csv4["y"],
+                                 "--kernel", "rbf", "--bandwidth", bw)
+        assert code == EXIT_INPUT and out == ""
+        assert "rbf bandwidth must be positive" in err
+
+    def test_tiny_median_bandwidth_exits_3(self, capsys, tmp_path):
+        x = write(tmp_path, "x.csv", "\n".join(repr(i * 1e-155) for i in range(4)))
+        y = write(tmp_path, "y.csv", "\n".join(repr(i * 1e-155) for i in range(4, 8)))
+        code, out, err = run_cli(capsys, "mmd", x, y, "--kernel", "rbf")
+        assert code == EXIT_PRECONDITION and out == ""
+        assert "rbf bandwidth must be positive" in err and "e-155" in err
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "inf", "nan"])
+    def test_floor_eps_must_be_positive_and_finite(self, capsys, csv4, eps):
+        code, out, err = run_cli(capsys, "mmd", csv4["x"], csv4["y"], "--floor-eps", eps)
+        assert code == EXIT_INPUT and out == ""
+        assert "--floor-eps must be positive and finite" in err
 
     def test_rbf_median_echoes_resolved_bandwidth(self, capsys, csv4):
         code, out, _ = run_cli(capsys, "mmd", csv4["x"], csv4["y"], "--kernel", "rbf")

@@ -302,6 +302,17 @@ class TestFullReport:
         with pytest.raises(ValueError, match="floor_epsilon"):
             mv.full_report(build_gram_pack(x, y), floor_epsilon=0.0)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_floor_must_be_finite(self, rng, eps):
+        x, y, _ = make_xyz(rng, 6)
+        with pytest.raises(ValueError, match="floor_epsilon must be positive and finite"):
+            mv.full_report(build_gram_pack(x, y), floor_epsilon=eps)
+
+    def test_stack_rejected(self, rng):
+        x, y = rng.normal(size=(2, 3, 6, 2))
+        with pytest.raises(ValueError, match="one dataset, not a stack"):
+            mv.full_report(build_gram_pack(x, y))
+
     def test_synthetic_draw_all_finite(self):
         rng = np.random.default_rng(1)
         x, y, z = rng.normal(size=(3, 8, 1))
