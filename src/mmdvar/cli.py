@@ -70,6 +70,8 @@ def load_csv(path: str) -> np.ndarray:
         vals: list[float] = []
         for idx, cell in enumerate(cells):
             try:
+                if "_" in cell:  # float() reads digit-group underscores: "1_0" is 10.0
+                    raise ValueError(cell)
                 vals.append(float(cell))
             except ValueError:
                 raise InputError(

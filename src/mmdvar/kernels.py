@@ -12,7 +12,8 @@ Samples stacked along a leading replicate axis, (R, m, d) arrays, give a
 pack whose aggregates are stacked along it too, each bit for bit what that
 replicate alone gives; the Monte Carlo harness evaluates its replicates
 this way.  Stacks take every kernel but the RBF one, whose distances and
-median bandwidth are computed one sample at a time.
+median bandwidth are computed one sample at a time.  Only those distances
+load scipy: :func:`cdist` and :func:`pdist` import it on their first call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,17 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+
+
+def cdist(a, b, metric):  # scipy's, imported on first call: only RBF kernels need it
+    from scipy.spatial.distance import cdist
+    return cdist(a, b, metric)
+
+
+def pdist(a, metric):  # scipy's, imported on first call: only the median bandwidth needs it
+    from scipy.spatial.distance import pdist
+    return pdist(a, metric)
+
 
 MEDIAN = "median"
 
@@ -74,9 +85,13 @@ class KernelSpec:
                 raise ValueError("polynomial kernel requires integer degree >= 1")
             if self.coef0 is None:
                 object.__setattr__(self, "coef0", 0.0)
+            if not math.isfinite(self.coef0):
+                raise ValueError(f"polynomial coef0 must be finite, got {self.coef0!r}")
         elif self.kind == "constant":
             if self.value is None:
                 raise ValueError("constant kernel requires a value")
+            if not math.isfinite(self.value):
+                raise ValueError(f"constant kernel value must be finite, got {self.value!r}")
 
     # -- convenience constructors -------------------------------------
     @classmethod

@@ -14,6 +14,8 @@ minimum m, need for a z sample, and the oracles it must agree with:
   linear kernel, the one model where every moment is elementary, plus a
   nested Monte Carlo estimator of the variance components used to
   cross-validate those closed forms.
+
+Only the Gaussian sampler loads scipy: :func:`ndtri` imports it on first call.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .estimators import (
     k2_mean, mmd2_diff_var, mmd2_u, mmd2_var, mu_dot, mu_dot_prod_own, mu_dot_prod_shared,
@@ -587,6 +588,11 @@ def gaussian_linear_moments(model: GaussianLinearModel) -> PopulationMoments:
     phi_prod = {(a, b, c): second[a] * mean[b] * mean[c] for a, b, c in product(pops, repeat=3)}
     k2 = {(a, b): second[a] * second[b] for a, b in pairs}
     return PopulationMoments(mu=mu, phi_sq=phi_sq, phi_prod=phi_prod, k2=k2)
+
+
+def ndtri(p):  # scipy's, imported on first call: only the Gaussian sampler needs it
+    from scipy.special import ndtri
+    return ndtri(p)
 
 
 def gaussian_draw(rng: np.random.Generator, mean: float, var: float, size) -> np.ndarray:

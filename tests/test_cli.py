@@ -85,6 +85,16 @@ class TestLoadCsv:
         with pytest.raises(InputError, match=f"non-numeric cell 1 in row {row}$"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text,cell,row", [("1_0,2\n3,4\n", 1, 1), ("1,2\n3,4_0\n", 2, 2)])
+    def test_digit_group_underscore_is_not_numeric(self, tmp_path, text, cell, row):
+        path = write(tmp_path, "a.csv", text)  # float("1_0") is 10.0
+        with pytest.raises(InputError, match=f"non-numeric cell {cell} in row {row}$"):
+            load_csv(path)
+
+    def test_header_with_underscores_skipped(self, tmp_path):
+        path = write(tmp_path, "a.csv", "a_1,b_2\n1,2\n3,4\n")
+        np.testing.assert_array_equal(load_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
     def test_undecodable_file(self, tmp_path):
         (tmp_path / "a.csv").write_bytes(b"caf\xe9\n1\n2\n")  # Latin-1, not UTF-8
         with pytest.raises(InputError, match="cannot read"):
@@ -163,6 +173,23 @@ class TestCmdMmd:
         code, _, err = run_cli(capsys, "mmd", csv4["x"], csv4["y"],
                                "--kernel", "poly", "--degree", "0")
         assert code == EXIT_INPUT and "degree" in err
+
+    def test_underscore_cell_exits_2(self, capsys, tmp_path, csv4):
+        bad = write(tmp_path, "bad.csv", "1_0\n2\n3\n4\n5\n")
+        code, out, err = run_cli(capsys, "mmd", bad, csv4["x"])
+        assert code == EXIT_INPUT and out == ""
+        assert "non-numeric cell 1 in row 1" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flags,field", [(("--kernel", "poly", "--coef0"), "polynomial coef0"),
+                                             (("--kernel", "const", "--const-value"),
+                                              "constant kernel value")])
+    def test_non_finite_kernel_parameter_exits_2(self, capsys, csv4, flags, field, value):
+        x, y, z = csv4["x"], csv4["y"], csv4["z"]
+        for cmd, files in (("mmd", (x, y)), ("relmmd", (x, y, z))):
+            code, out, err = run_cli(capsys, cmd, *files, *flags, value)
+            assert code == EXIT_INPUT and out == ""
+            assert f"{field} must be finite, got {value}" in err
 
     @pytest.mark.parametrize("bw", ["inf", "nan", "1e-300", "1e-160", "1e200"])
     def test_bandwidth_outside_float_range_exits_2(self, capsys, csv4, bw):

@@ -48,6 +48,16 @@ class TestKernelSpec:
     def test_polynomial_default_coef0(self):
         assert KernelSpec.polynomial(3).coef0 == 0.0
 
+    @pytest.mark.parametrize("coef0", [math.nan, math.inf, -math.inf])
+    def test_polynomial_rejects_non_finite_coef0(self, coef0):
+        with pytest.raises(ValueError, match=f"polynomial coef0 must be finite, got {coef0}"):
+            KernelSpec.polynomial(3, coef0=coef0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_constant_rejects_non_finite_value(self, value):
+        with pytest.raises(ValueError, match=f"constant kernel value must be finite, got {value}"):
+            KernelSpec.constant(value)
+
     def test_constant_needs_value(self):
         with pytest.raises(ValueError, match="value"):
             KernelSpec("constant")
