@@ -7,8 +7,10 @@ unbiased sub-term estimates.
 
 import numpy as np
 
-from mmdvar import KernelSpec, build_gram_pack, mmd2_diff_var, mmd2_var, sub_term_estimates
-from mmdvar.oracle import diff_var_from_terms, mmd2_var_from_terms, oracle_term
+from mmdvar import KernelSpec, build_gram_pack, mmd2_diff_var, mmd2_var
+from mmdvar.oracle import (
+    diff_var_from_terms, mmd2_var_from_terms, oracle_term, sub_term_estimates,
+)
 
 rng = np.random.default_rng(3)
 m = 8

@@ -6,7 +6,8 @@ This is a scaled-down version of what `mmdvar verify` and the acceptance
 suite run at 1e5 replicates.
 """
 
-from mmdvar import GaussianLinearModel, McConfig, run_unbiasedness, run_variance_tracking
+from mmdvar.montecarlo import McConfig, run_unbiasedness, run_variance_tracking
+from mmdvar.oracle import GaussianLinearModel
 
 model = GaussianLinearModel(mean_x=0.0, var_x=1.0,
                             mean_y=0.5, var_y=2.0,

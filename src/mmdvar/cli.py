@@ -26,14 +26,6 @@ import numpy as np
 
 from .estimators import full_report
 from .kernels import MEDIAN, KernelSpec, build_gram_pack
-from .montecarlo import (
-    McConfig,
-    McReport,
-    run_unbiasedness,
-    run_variance_tracking,
-    target_ids,
-)
-from .oracle import GaussianLinearModel
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -70,7 +62,7 @@ def load_csv(path: str) -> np.ndarray:
         vals: list[float] = []
         for idx, cell in enumerate(cells):
             try:
-                if "_" in cell:  # float() reads digit-group underscores: "1_0" is 10.0
+                if "_" in cell or not cell.isascii():  # float() reads "1_0" and "\uff11"
                     raise ValueError(cell)
                 vals.append(float(cell))
             except ValueError:
@@ -169,13 +161,18 @@ def cmd_relmmd(args: argparse.Namespace) -> int:
     return _estimate(args, [args.x, args.y, args.z], {key: key for key in keys})
 
 
-def _report_payload(report: McReport) -> dict[str, Any]:
+def _report_payload(report) -> dict[str, Any]:
+    """The entries of a :class:`~mmdvar.montecarlo.McReport` as JSON fields."""
     return {t: {"mean": e.mean, "se": e.se, "truth": e.truth, "z": e.z,
                 "pass": e.passed}
             for t, e in report.entries.items()}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the verification layer loads here, not with the estimators
+    from .montecarlo import McConfig, run_unbiasedness, run_variance_tracking, target_ids
+    from .oracle import GaussianLinearModel
+
     try:
         if (args.mean_z is None) != (args.var_z is None):
             raise InputError("provide both --mean-z and --var-z or neither")
@@ -195,7 +192,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         config = McConfig(model=model, m=args.m, replicates=args.replicates,
                           seed=args.seed, targets=tuple(targets),
                           z_threshold=args.z_threshold)
-        config.validate()
         config.tracked()  # both passes' targets are checked before either runs
     except (InputError, ValueError) as exc:
         return _fail(EXIT_INPUT, str(exc))

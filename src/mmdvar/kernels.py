@@ -291,6 +291,8 @@ def median_heuristic(pooled: np.ndarray) -> float:
     kernel when the spec carries the ``"median"`` sentinel.
     """
     pooled = _as_sample(pooled, "pooled")
+    if pooled.ndim != 2:
+        raise ValueError("median heuristic takes one dataset, not a stack of replicates")
     if pooled.shape[0] < 2:
         raise ValueError("median heuristic needs at least 2 rows")
     return _median_distance_from_sq(pooled)

@@ -67,7 +67,8 @@ _TRACKED = {"mmd2": "mmd2_var", "diff": "mmd2_diff_var"}
 
 @dataclass(frozen=True)
 class McConfig:
-    """One verification run: model, sample size, replicate budget, targets."""
+    """One verification run: model, sample size, replicate budget, targets,
+    checked once when made; :meth:`tracked` is variance tracking's own gate."""
 
     model: GaussianLinearModel
     m: int
@@ -78,15 +79,16 @@ class McConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", tuple(dict.fromkeys(self.targets)))
-
-    def validate(self) -> None:
+        for name in ("m", "replicates", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.replicates < MIN_REPLICATES:
             raise ValueError(
                 f"replicates below minimum ({MIN_REPLICATES}) for a pass/fail verdict")
         if not self.targets:
             raise ValueError("no targets given")
-        if not self.z_threshold > 0:
-            raise ValueError("z_threshold must be positive")
+        if not 0.0 < self.z_threshold < math.inf:
+            raise ValueError("z_threshold must be positive and finite")
         for t in self.targets:
             check_target(t, self.m, self.model.has_z)
 
@@ -184,7 +186,6 @@ def _replicate_values(config: McConfig, targets: tuple[str, ...],
 
 def run_unbiasedness(config: McConfig) -> McReport:
     """Replicate means of every targeted estimator vs their population truths."""
-    config.validate()
     with_z = config.needs_z()
     values = _replicate_values(config, config.targets, with_z)
     mom = gaussian_linear_moments(config.model)
@@ -211,7 +212,6 @@ def run_variance_tracking(config: McConfig) -> McReport:
     """Replicate variance of the squared-MMD statistic (and of the paired
     difference when the model has a z population) vs the closed-form
     sampling variance, with a jackknife standard error."""
-    config.validate()
     tracked = config.tracked()
     with_z = config.model.has_z
     values = _replicate_values(config, tuple(tracked), with_z)

@@ -39,6 +39,8 @@ Pair = tuple[str, str]
 
 
 def _guard(g: GramPack) -> None:
+    if g.samples["x"].ndim != 2:
+        raise ValueError("the loop oracles take one dataset, not a stack of replicates")
     if g.m > ORACLE_MAX_M:
         raise ValueError(f"oracle refuses m = {g.m} > {ORACLE_MAX_M} (O(m^4) loops)")
 

@@ -12,15 +12,19 @@ import numpy as np
 import pytest
 
 import mmdvar as mv
-from mmdvar import GaussianLinearModel, KernelSpec, McConfig, build_gram_pack
+from mmdvar import KernelSpec, build_gram_pack
 from mmdvar.cli import EXIT_INPUT, EXIT_PRECONDITION, main
+from mmdvar.montecarlo import McConfig, run_unbiasedness, run_variance_tracking
 from mmdvar.oracle import (
+    THREE_SAMPLE_TERM_IDS,
+    GaussianLinearModel,
     diff_var_from_terms,
     gaussian_linear_moments,
     mc_variance_components,
     mmd2_var_components,
     mmd2_var_from_terms,
     oracle_term,
+    sub_term_estimates,
 )
 
 from conftest import make_xyz, rel_close
@@ -58,7 +62,7 @@ def test_criterion_1_oracle_equivalence():
             for _ in range(N_DATASETS):
                 x, y, z = make_xyz(rng, m)
                 g = build_gram_pack(x, y, z, spec=spec)
-                for term_id, value in mv.sub_term_estimates(g).items():
+                for term_id, value in sub_term_estimates(g).items():
                     comparisons += 1
                     truth = oracle_term(g, term_id)
                     if not rel_close(value, truth):
@@ -81,7 +85,7 @@ def test_criterion_2_assembly_identity():
             for _ in range(N_DATASETS):
                 x, y, z = make_xyz(rng, m)
                 g = build_gram_pack(x, y, z, spec=spec)
-                est = mv.sub_term_estimates(g)
+                est = sub_term_estimates(g)
                 v = mv.mmd2_var(g)
                 v_asm = mmd2_var_from_terms(est.__getitem__, m)
                 if not rel_close(v, v_asm, rtol=1e-10):
@@ -116,9 +120,9 @@ def test_criterion_4_unbiasedness():
     variance estimators, and of all 30 sub-terms sits within 4 standard
     errors of the closed-form truth.  Runtime under 5 minutes."""
     start = time.perf_counter()
-    targets = ("mmd2", "mmd2_var", "mmd2_diff_var") + mv.THREE_SAMPLE_TERM_IDS
+    targets = ("mmd2", "mmd2_var", "mmd2_diff_var") + THREE_SAMPLE_TERM_IDS
     cfg = McConfig(model=MODEL, m=8, replicates=100_000, seed=SEED, targets=targets)
-    report = mv.run_unbiasedness(cfg)
+    report = run_unbiasedness(cfg)
     elapsed = time.perf_counter() - start
     worst = max(report.entries.items(), key=lambda kv: abs(kv[1].z))
     ok = report.all_passed and elapsed < 300.0
@@ -133,7 +137,7 @@ def test_criterion_5_variance_tracking():
     closed-form sampling variances within 4 jackknife standard errors."""
     cfg = McConfig(model=MODEL, m=8, replicates=100_000, seed=SEED + 3,
                    targets=("mmd2",))
-    report = mv.run_variance_tracking(cfg)
+    report = run_variance_tracking(cfg)
     zs = {t: e.z for t, e in report.entries.items()}
     ok = report.all_passed and set(zs) == {"mmd2", "diff"}
     _verdict(5, "variance tracking of mmd2 and diff", ok,

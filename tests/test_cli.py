@@ -91,6 +91,12 @@ class TestLoadCsv:
         with pytest.raises(InputError, match=f"non-numeric cell {cell} in row {row}$"):
             load_csv(path)
 
+    @pytest.mark.parametrize("digit", ["\uff11", "\u0661"])  # full-width and Arabic-Indic 1
+    def test_non_ascii_digit_is_not_numeric(self, tmp_path, digit):
+        path = write(tmp_path, "a.csv", f"{digit},2\n3,4\n")  # float() reads it as 1.0
+        with pytest.raises(InputError, match="non-numeric cell 1 in row 1$"):
+            load_csv(path)
+
     def test_header_with_underscores_skipped(self, tmp_path):
         path = write(tmp_path, "a.csv", "a_1,b_2\n1,2\n3,4\n")
         np.testing.assert_array_equal(load_csv(path), [[1.0, 2.0], [3.0, 4.0]])
@@ -176,6 +182,12 @@ class TestCmdMmd:
 
     def test_underscore_cell_exits_2(self, capsys, tmp_path, csv4):
         bad = write(tmp_path, "bad.csv", "1_0\n2\n3\n4\n5\n")
+        code, out, err = run_cli(capsys, "mmd", bad, csv4["x"])
+        assert code == EXIT_INPUT and out == ""
+        assert "non-numeric cell 1 in row 1" in err
+
+    def test_non_ascii_digit_cell_exits_2(self, capsys, tmp_path, csv4):
+        bad = write(tmp_path, "bad.csv", "\uff11\n2\n3\n4\n")
         code, out, err = run_cli(capsys, "mmd", bad, csv4["x"])
         assert code == EXIT_INPUT and out == ""
         assert "non-numeric cell 1 in row 1" in err
@@ -338,6 +350,17 @@ class TestCmdVerify:
         code, out, err = run_cli(capsys, "verify", "--targets", "mmd2", "--m", "3")
         assert code == EXIT_INPUT and out == ""
         assert "'mmd2_var'" in err and "m >= 4" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_bad_z_threshold_exits_2_before_any_draw(self, capsys, monkeypatch, value):
+        """An infinite threshold would pass every replicate and then fail to
+        serialise; verify refuses it before either pass draws a replicate."""
+        def no_draws(*args):
+            raise AssertionError("a replicate was drawn")
+        monkeypatch.setattr(montecarlo, "replicate_rng", no_draws)
+        code, out, err = run_cli(capsys, "verify", "--z-threshold", value)
+        assert code == EXIT_INPUT and out == ""
+        assert "z_threshold must be positive and finite" in err
 
     @pytest.mark.parametrize("flag,value", [("--mean-x", "nan"), ("--mean-z", "inf"),
                                             ("--var-y", "inf")])

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 import mmdvar as mv
 from mmdvar import KernelSpec, build_gram_pack
+from mmdvar.oracle import (
+    THREE_SAMPLE_TERM_IDS, TWO_SAMPLE_TERM_IDS, estimate_term, sub_term_estimates,
+)
 from mmdvar.estimators import (
     k2_mean, mu_dot, mu_dot_prod_own, mu_dot_prod_shared, mu_dot_sq, phi_mu_prod_own,
     phi_mu_prod_shared, phi_mu_sq,
@@ -123,13 +126,13 @@ class TestSubTermExamples:
     def test_constant_kernel_everything_is_one(self, rng, m):
         x, y, z = make_xyz(rng, m)
         g = build_gram_pack(x, y, z, spec=CONST1)
-        for term_id, value in mv.sub_term_estimates(g).items():
+        for term_id, value in sub_term_estimates(g).items():
             assert value == pytest.approx(1.0, rel=1e-12), term_id
 
     def test_zero_kernel_everything_is_zero(self, rng):
         x, y, z = make_xyz(rng, 5)
         g = build_gram_pack(x, y, z, spec=ZERO)
-        for term_id, value in mv.sub_term_estimates(g).items():
+        for term_id, value in sub_term_estimates(g).items():
             assert value == 0.0, term_id
 
 
@@ -138,24 +141,24 @@ class TestPreconditions:
         x, y, _ = make_xyz(rng, 3)
         g = build_gram_pack(x, y)
         with pytest.raises(ValueError, match="m >= 4"):
-            mv.estimate_term(g, "mu_sq_xx")
+            estimate_term(g, "mu_sq_xx")
 
     def test_mu_dot_prod_own_needs_m3(self):
         g = build_gram_pack(X12, Y34)
         with pytest.raises(ValueError, match="m >= 3"):
-            mv.estimate_term(g, "prod_xx_xy")
+            estimate_term(g, "prod_xx_xy")
 
     def test_phi_mu_sq_own_needs_m3(self):
         g = build_gram_pack(X12, Y34)
         with pytest.raises(ValueError, match="m >= 3"):
-            mv.estimate_term(g, "ephi2_xx")
+            estimate_term(g, "ephi2_xx")
 
     def test_shared_products_need_z(self):
         g = build_gram_pack(X12, Y34)
         with pytest.raises(ValueError, match="z sample"):
-            mv.estimate_term(g, "prod_xy_xz")
+            estimate_term(g, "prod_xy_xz")
         with pytest.raises(ValueError, match="z sample"):
-            mv.estimate_term(g, "ephi_xy_xz")
+            estimate_term(g, "ephi_xy_xz")
 
     def test_variance_needs_m4(self, rng):
         x, y, z = make_xyz(rng, 3)
@@ -175,33 +178,33 @@ class TestPreconditions:
 class TestTermRegistry:
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown term"):
-            mv.estimate_term(pack2(), "mu_xw")
+            estimate_term(pack2(), "mu_xw")
 
     def test_needs_z(self):
         g = build_gram_pack(X12, Y34)
         with pytest.raises(ValueError, match="z sample"):
-            mv.estimate_term(g, "mu_xz")
+            estimate_term(g, "mu_xz")
 
     def test_min_m_enforced(self):
         with pytest.raises(ValueError, match="m >= 4"):
-            mv.estimate_term(pack2(), "mu_sq_xx")
+            estimate_term(pack2(), "mu_sq_xx")
 
     def test_matches_direct_functions(self, rng):
         x, y, z = make_xyz(rng, 6)
         g = build_gram_pack(x, y, z, spec=KernelSpec.rbf(1.2))
-        assert mv.estimate_term(g, "ephi2_yx") == phi_mu_sq(g, "y", "x")
-        assert mv.estimate_term(g, "prod_zz_zx") == mu_dot_prod_own(g, "z", "x")
+        assert estimate_term(g, "ephi2_yx") == phi_mu_sq(g, "y", "x")
+        assert estimate_term(g, "prod_zz_zx") == mu_dot_prod_own(g, "z", "x")
 
     def test_sub_term_estimates_key_sets(self, rng):
         x, y, z = make_xyz(rng, 6)
         g2 = build_gram_pack(x, y)
-        assert set(mv.sub_term_estimates(g2)) == set(mv.TWO_SAMPLE_TERM_IDS)
+        assert set(sub_term_estimates(g2)) == set(TWO_SAMPLE_TERM_IDS)
         g3 = build_gram_pack(x, y, z)
-        assert set(mv.sub_term_estimates(g3)) == set(mv.THREE_SAMPLE_TERM_IDS)
-        assert len(mv.THREE_SAMPLE_TERM_IDS) == 30
+        assert set(sub_term_estimates(g3)) == set(THREE_SAMPLE_TERM_IDS)
+        assert len(THREE_SAMPLE_TERM_IDS) == 30
         # below the within-square threshold the quartic terms drop out
         g_small = build_gram_pack(x[:3], y[:3])
-        est = mv.sub_term_estimates(g_small)
+        est = sub_term_estimates(g_small)
         assert "mu_sq_xx" not in est and "ephi2_xx" in est
 
 
@@ -226,11 +229,11 @@ class TestInvarianceProperties:
         # sample may even be reindexed on its own
         x, y, z = make_xyz(rng, 6)
         g = build_gram_pack(x, y, z, spec=KERNEL_CASES[name])
-        base = mv.sub_term_estimates(g)
+        base = sub_term_estimates(g)
         for _ in range(3):
             px, py, pz = (rng.permutation(6) for _ in range(3))
             gp = build_gram_pack(x[px], y[py], z[pz], spec=g.spec)
-            perm = mv.sub_term_estimates(gp)
+            perm = sub_term_estimates(gp)
             for term_id in base:
                 assert perm[term_id] == pytest.approx(base[term_id], rel=1e-12, abs=1e-12)
             assert mv.mmd2_var(gp) == pytest.approx(mv.mmd2_var(g), rel=1e-12, abs=1e-14)

@@ -132,6 +132,10 @@ class TestMedianHeuristic:
         with pytest.raises(ValueError, match="2 rows"):
             median_heuristic(np.array([[1.0]]))
 
+    def test_rejects_stacked_rows(self, rng):
+        with pytest.raises(ValueError, match="one dataset, not a stack of replicates"):
+            median_heuristic(rng.normal(size=(3, 5, 2)))
+
     def test_rejects_non_finite_rows(self):
         with pytest.raises(ValueError, match="finite"):
             median_heuristic(np.array([[0.0], [1.0], [np.nan], [3.0]]))

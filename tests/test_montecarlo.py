@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 import mmdvar as mv
-from mmdvar import GaussianLinearModel, KernelSpec, McConfig, kernels, montecarlo
-from mmdvar.montecarlo import _target_info, replicate_rng
-from mmdvar.oracle import TARGETS
+from mmdvar import KernelSpec, kernels, montecarlo
+from mmdvar.montecarlo import (
+    McConfig, _target_info, draw_replicate, replicate_rng, run_unbiasedness,
+    run_variance_tracking, target_ids,
+)
+from mmdvar.oracle import (
+    TARGETS, THREE_SAMPLE_TERM_IDS, TWO_SAMPLE_TERM_IDS, GaussianLinearModel,
+    gaussian_linear_moments, population_diff_var, population_mmd2_var,
+)
 
 MODEL_XY = GaussianLinearModel(0.0, 1.0, 0.5, 2.0)
 MODEL_XYZ = GaussianLinearModel(0.0, 1.0, 0.5, 2.0, 0.25, 1.0)
@@ -22,45 +28,51 @@ def config(**kw):
 class TestConfigValidation:
     def test_replicates_minimum(self):
         with pytest.raises(ValueError, match="replicates below minimum"):
-            config(replicates=10).validate()
+            config(replicates=10)
 
     def test_unknown_target(self):
         with pytest.raises(ValueError, match="unknown target"):
-            config(targets=("mmd3",)).validate()
+            config(targets=("mmd3",))
 
     def test_min_m_per_target(self):
         with pytest.raises(ValueError, match="m >= 4"):
-            config(m=3, targets=("mmd2_var",)).validate()
+            config(m=3, targets=("mmd2_var",))
 
     def test_z_targets_need_z_model(self):
         with pytest.raises(ValueError, match="requires a z sample"):
-            config(model=MODEL_XY, targets=("diff",)).validate()
+            config(model=MODEL_XY, targets=("diff",))
 
     def test_no_targets(self):
         with pytest.raises(ValueError, match="no targets"):
-            config(targets=()).validate()
+            config(targets=())
 
     def test_bad_threshold(self):
-        with pytest.raises(ValueError, match="z_threshold"):
-            config(z_threshold=0.0).validate()
+        for threshold in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="z_threshold"):
+                config(z_threshold=threshold)
+
+    @pytest.mark.parametrize("field,value", [("m", 8.0), ("replicates", 1000.5), ("seed", 0.5)])
+    def test_non_integer_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            config(**{field: value})
 
     def test_targets_deduped_in_order(self):
         c = config(targets=("mmd2", "ek2_xy", "mmd2"))
         assert c.targets == ("mmd2", "ek2_xy")
 
     def test_target_ids_listing(self):
-        two = mv.target_ids(with_z=False)
+        two = target_ids(with_z=False)
         assert "mmd2" in two and "mmd2_var" in two and "diff" not in two
-        assert set(mv.TWO_SAMPLE_TERM_IDS) <= set(two)
-        three = mv.target_ids(with_z=True)
+        assert set(TWO_SAMPLE_TERM_IDS) <= set(two)
+        three = target_ids(with_z=True)
         assert {"diff", "mmd2_diff_var", "mmd2_xz"} <= set(three)
-        assert set(mv.THREE_SAMPLE_TERM_IDS) <= set(three)
+        assert set(THREE_SAMPLE_TERM_IDS) <= set(three)
 
 
 class TestDeterminism:
     def test_identical_configs_identical_reports(self):
-        r1 = mv.run_unbiasedness(config())
-        r2 = mv.run_unbiasedness(config())
+        r1 = run_unbiasedness(config())
+        r2 = run_unbiasedness(config())
         assert r1 == r2
 
     def test_replicate_rng_streams_are_stable(self):
@@ -80,11 +92,11 @@ class TestDeterminism:
         for lo, hi in ((0, 500), (500, 1000)):
             for rep in range(lo, hi):
                 rng = replicate_rng(cfg.seed, rep)
-                x, y, z = mv.draw_replicate(cfg.model, cfg.m, rng, False)
+                x, y, z = draw_replicate(cfg.model, cfg.m, rng, False)
                 g = mv.build_gram_pack(x, y, z)
                 values[rep] = fn(g)
         # McConfig guards verdicts at >= 1000 replicates, so compare directly
-        report = mv.run_unbiasedness(cfg)
+        report = run_unbiasedness(cfg)
         assert report.entries["mmd2"].mean == float(values.mean())
 
 
@@ -92,7 +104,7 @@ class TestRunUnbiasedness:
     def test_null_case_mmd2(self):
         model = GaussianLinearModel(0.3, 1.0, 0.3, 1.0)
         cfg = McConfig(model=model, m=5, replicates=4000, seed=5, targets=("mmd2",))
-        rep = mv.run_unbiasedness(cfg)
+        rep = run_unbiasedness(cfg)
         e = rep.entries["mmd2"]
         assert e.truth == 0.0
         assert abs(e.z) <= 4 and e.passed
@@ -101,7 +113,7 @@ class TestRunUnbiasedness:
     def test_known_truths(self):
         cfg = McConfig(model=MODEL_XYZ, m=6, replicates=4000, seed=17,
                        targets=("mmd2", "diff", "mu_sq_xy", "ek2_xz"))
-        rep = mv.run_unbiasedness(cfg)
+        rep = run_unbiasedness(cfg)
         assert rep.entries["mmd2"].truth == pytest.approx(0.25)
         assert rep.entries["diff"].truth == pytest.approx(0.25 - 0.0625)
         # <mu_x, mu_y>^2 = (0 * 0.5)^2 = 0 for the zero-mean X
@@ -109,14 +121,14 @@ class TestRunUnbiasedness:
         assert rep.all_passed, {t: e.z for t, e in rep.entries.items()}
 
     def test_report_echo(self):
-        rep = mv.run_unbiasedness(config())
+        rep = run_unbiasedness(config())
         assert rep.kind == "unbiasedness"
         assert rep.config["gaussian_sampler"] == "inverse_cdf"
         assert rep.config["m"] == 6
         assert rep.config["targets"] == ["mmd2", "mmd2_var"]
 
     def test_verdict_consistent_with_z(self):
-        rep = mv.run_unbiasedness(config(z_threshold=0.05))
+        rep = run_unbiasedness(config(z_threshold=0.05))
         for e in rep.entries.values():
             assert e.passed == (abs(e.z) <= 0.05)
             assert e.se > 0
@@ -125,28 +137,28 @@ class TestRunUnbiasedness:
 class TestRunVarianceTracking:
     def test_two_sample_tracks_mmd2_only(self):
         cfg = McConfig(model=MODEL_XY, m=5, replicates=4000, seed=2, targets=("mmd2",))
-        rep = mv.run_variance_tracking(cfg)
+        rep = run_variance_tracking(cfg)
         assert rep.kind == "variance_tracking"
         assert list(rep.entries) == ["mmd2"]
         assert rep.all_passed, rep.entries
 
     def test_three_sample_tracks_diff_too(self):
         cfg = McConfig(model=MODEL_XYZ, m=5, replicates=4000, seed=3, targets=("mmd2",))
-        rep = mv.run_variance_tracking(cfg)
+        rep = run_variance_tracking(cfg)
         assert list(rep.entries) == ["mmd2", "diff"]
         assert rep.all_passed, {t: e.z for t, e in rep.entries.items()}
 
     def test_truths_are_population_variances(self):
         cfg = McConfig(model=MODEL_XYZ, m=6, replicates=1200, seed=4, targets=("mmd2",))
-        rep = mv.run_variance_tracking(cfg)
-        mom = mv.gaussian_linear_moments(MODEL_XYZ)
-        assert rep.entries["mmd2"].truth == mv.population_mmd2_var(mom, 6)
-        assert rep.entries["diff"].truth == mv.population_diff_var(mom, 6)
+        rep = run_variance_tracking(cfg)
+        mom = gaussian_linear_moments(MODEL_XYZ)
+        assert rep.entries["mmd2"].truth == population_mmd2_var(mom, 6)
+        assert rep.entries["diff"].truth == population_diff_var(mom, 6)
 
     def test_needs_m4(self):
         cfg = McConfig(model=MODEL_XY, m=3, replicates=1200, seed=4, targets=("mmd2",))
         with pytest.raises(ValueError, match="m >= 4"):
-            mv.run_variance_tracking(cfg)
+            run_variance_tracking(cfg)
 
 
 class TestZScoreCalibration:
@@ -156,7 +168,7 @@ class TestZScoreCalibration:
         for seed in range(20):
             cfg = McConfig(model=MODEL_XY, m=4, replicates=1000, seed=seed,
                            targets=("mmd2",))
-            z = mv.run_unbiasedness(cfg).entries["mmd2"].z
+            z = run_unbiasedness(cfg).entries["mmd2"].z
             if abs(z) > 3:
                 exceed += 1
         assert exceed <= 1
@@ -176,7 +188,7 @@ class TestStackedEngine:
         (``draw_replicate``), its own pack and every estimator."""
         values = {t: np.empty(cfg.replicates) for t in targets}
         for rep in range(cfg.replicates):
-            x, y, z = mv.draw_replicate(cfg.model, cfg.m, replicate_rng(cfg.seed, rep), with_z)
+            x, y, z = draw_replicate(cfg.model, cfg.m, replicate_rng(cfg.seed, rep), with_z)
             g = mv.build_gram_pack(x, y, z)
             for t in targets:
                 values[t][rep] = TARGETS[t].estimate(g)
@@ -186,7 +198,7 @@ class TestStackedEngine:
     @pytest.mark.parametrize("m", [4, 5, 8, 40])
     @pytest.mark.parametrize("per_chunk", [None, 7], ids=["one_chunk", "ragged_chunks"])
     def test_values_match_per_replicate_packs(self, model, m, per_chunk):
-        targets = mv.target_ids(model.has_z)
+        targets = target_ids(model.has_z)
         cfg = config(model=model, m=m, replicates=1000, seed=m, targets=targets)
         # 7 replicates a chunk: 142 full chunks and a last one of 6
         entries = montecarlo._CHUNK_ENTRIES if per_chunk is None else per_chunk * m * m
@@ -242,8 +254,8 @@ class TestStackedEngine:
 
 class TestOutputTypes:
     def test_entries_are_python_floats(self):
-        cfg = config(model=MODEL_XYZ, targets=mv.target_ids(True))
-        for rep in (mv.run_unbiasedness(cfg), mv.run_variance_tracking(cfg)):
+        cfg = config(model=MODEL_XYZ, targets=target_ids(True))
+        for rep in (run_unbiasedness(cfg), run_variance_tracking(cfg)):
             for t, e in rep.entries.items():
                 for field in ("mean", "se", "truth", "z"):
                     assert type(getattr(e, field)) is float, (rep.kind, t, field)
@@ -259,7 +271,7 @@ class TestNonFiniteReplicates:
         cfg = McConfig(model=model, m=4, replicates=1000, seed=0, targets=("mmd2", "mmd2_var"))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=f"target 'mmd2_var': {what} is not finite"):
-                mv.run_unbiasedness(cfg)
+                run_unbiasedness(cfg)
 
     def test_zero_spread_names_the_target(self):
         """Means so large that every replicate rounds to the same samples:
@@ -267,6 +279,6 @@ class TestNonFiniteReplicates:
         model = GaussianLinearModel(1e76, 1.0, 1e76, 2.0)
         cfg = McConfig(model=model, m=4, replicates=1000, seed=0, targets=("mmd2", "mmd2_var"))
         with pytest.raises(ValueError, match="target 'mmd2_var': z-score is not finite"):
-            mv.run_unbiasedness(cfg)
+            run_unbiasedness(cfg)
         with pytest.raises(ValueError, match="target 'mmd2': z-score is not finite"):
-            mv.run_variance_tracking(cfg)
+            run_variance_tracking(cfg)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import mmdvar as mv
-from mmdvar import GaussianLinearModel, KernelSpec, build_gram_pack
+from mmdvar import KernelSpec, build_gram_pack
 from mmdvar.oracle import (
+    THREE_SAMPLE_TERM_IDS,
     ComponentEstimates,
+    GaussianLinearModel,
     diff_var_components,
     gaussian_linear_moments,
     mc_variance_components,
@@ -55,13 +57,13 @@ class TestOracleLoops:
     def test_constant_kernel_all_ones(self, rng):
         x, y, z = make_xyz(rng, 4)
         g = build_gram_pack(x, y, z, spec=KernelSpec.constant(1.0))
-        for term_id in mv.THREE_SAMPLE_TERM_IDS:
+        for term_id in THREE_SAMPLE_TERM_IDS:
             assert oracle_term(g, term_id) == pytest.approx(1.0, rel=1e-12), term_id
 
     def test_zero_kernel_all_zero(self, rng):
         x, y, z = make_xyz(rng, 4)
         g = build_gram_pack(x, y, z, spec=KernelSpec.constant(0.0))
-        for term_id in mv.THREE_SAMPLE_TERM_IDS:
+        for term_id in THREE_SAMPLE_TERM_IDS:
             assert oracle_term(g, term_id) == 0.0, term_id
 
     def test_cost_guard(self, rng):
@@ -69,6 +71,12 @@ class TestOracleLoops:
         g = build_gram_pack(x, y)
         with pytest.raises(ValueError, match="oracle refuses"):
             oracle_term(g, "mu_xx")
+
+    def test_stacked_pack_refused(self, rng):
+        g = build_gram_pack(*rng.normal(size=(2, 3, 5, 1)))  # 3 stacked replicates
+        for evaluate in (lambda: oracle_term(g, "mu_xx"), lambda: oracle_mmd2(g)):
+            with pytest.raises(ValueError, match="one dataset, not a stack of replicates"):
+                evaluate()
 
     def test_unknown_term(self):
         with pytest.raises(ValueError, match="unknown term"):
