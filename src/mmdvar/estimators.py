@@ -12,6 +12,12 @@ table :data:`mmdvar.oracle.TARGETS` alone decides which m and samples each
 admits, and ``estimate_term`` and ``sub_term_estimates`` reach them through
 it.  The headline estimators, which data reach directly, check their input.
 
+The variance estimators are sums of parts each written once: an own-sample
+part per sample (its within matrix with a cross matrix), a cross part per
+cross matrix and, for the difference, a coupling through the shared X; K_XX
+cancels from the difference.  Each coefficient is an exact integer before
+one floating division per term.
+
 All estimators are O(m) reductions over the aggregates cached in a
 :class:`~mmdvar.kernels.GramPack`, so the total cost including the Gram
 aggregates is O(m^2) time and O(m B) memory, B the block of rows those
@@ -147,70 +153,53 @@ def k2_mean(g: GramPack, a: str, b: str) -> float:
 # variance estimators
 # ---------------------------------------------------------------------------
 
-def mmd2_var(g: GramPack) -> float:
-    """Unbiased estimate of Var[mmd2_u(X, Y)].
+def _own(g: GramPack, b: str, o: str):
+    """The variance terms that read b's within matrix W (zero diagonal) with C = K_bo."""
+    m = int(g.m)
+    w, c = g[b + b], g[b + o]
+    return (
+        4.0 * _sq(w.row_sums) / falling_factorial(m, 4)
+        - 8.0 * np.vecdot(w.row_sums, c.row_sums) / (m * m * (m - 1) * (m - 2))
+        + 8.0 * (w.total * c.total) / (m * m * falling_factorial(m, 3))
+        - 2.0 * (2 * m - 3) * (w.total * w.total)
+        / (falling_factorial(m, 2) * falling_factorial(m, 4))
+        - 2.0 * w.frob_sq / (m * (m - 1) * (m - 2) * (m - 3))
+    )
 
-    Single-pass combination of the sub-term estimators with the coefficients
-    merged; all polynomial-in-m coefficients are evaluated in exact integer
-    arithmetic before one floating division per term, so small m does not
-    suffer catastrophic cancellation in the denominators.
-    """
+
+def _cross(g: GramPack, a: str, b: str):
+    """The variance terms that read the cross matrix C = K_ab alone."""
+    m = int(g.m)
+    c, cube = g[a + b], m ** 3 * (m - 1) ** 3
+    return (
+        4.0 * (m * m - m - 1) * (_sq(c.row_sums) + _sq(g[b + a].row_sums)) / cube
+        - 4.0 * (2 * m - 3) * (c.total * c.total) / cube
+        - 4.0 * (m - 2) * c.frob_sq / (m * m * (m - 1) ** 3)
+    )
+
+
+def mmd2_var(g: GramPack) -> float:
+    """Unbiased estimate of Var[mmd2_u(X, Y)]: X's and Y's own parts, K_XY's cross part."""
     if g.m < 4:
         raise ValueError(f"variance estimator requires m ≥ 4, got m = {g.m}")
-    m = int(g.m)
-    wx, wy = g["xx"], g["yy"]
-    c = g["xy"]
-    r_xx, r_yy = _sq(wx.row_sums), _sq(wy.row_sums)
-    r_xy, c_xy = _sq(c.row_sums), _sq(g["yx"].row_sums)
-    b_xx_xy = np.vecdot(wx.row_sums, c.row_sums)         # 1' Kxx~ Kxy 1
-    b_yy_yx = np.vecdot(wy.row_sums, g["yx"].row_sums)   # 1' Kyy~ Kxy' 1
-
-    m1, m2, m3 = m - 1, m - 2, m - 3
-    return (
-        4.0 * (r_xx + r_yy) / falling_factorial(m, 4)
-        + 4.0 * (m * m - m - 1) * (r_xy + c_xy) / (m ** 3 * m1 ** 3)
-        - 8.0 * (b_xx_xy + b_yy_yx) / (m * m * m1 * m2)
-        + 8.0 * ((wx.total + wy.total) * c.total) / (m * m * falling_factorial(m, 3))
-        - 2.0 * (2 * m - 3) * (wx.total * wx.total + wy.total * wy.total)
-        / (falling_factorial(m, 2) * falling_factorial(m, 4))
-        - 4.0 * (2 * m - 3) * (c.total * c.total) / (m ** 3 * m1 ** 3)
-        - 2.0 * (wx.frob_sq + wy.frob_sq) / (m * m1 * m2 * m3)
-        - 4.0 * m2 * c.frob_sq / (m * m * m1 ** 3)
-    )
+    return _own(g, "x", "y") + _own(g, "y", "x") + _cross(g, "x", "y")
 
 
 def mmd2_diff_var(g: GramPack) -> float:
     """Unbiased estimate of Var[mmd2_u(X, Y) - mmd2_u(X, Z)].
 
     The two statistics share the X sample, so this is not a sum of two
-    variances: the coupling enters through the K_XY'K_XZ cross aggregate.
+    variances: K_XX cancels, and the coupling enters through the K_XY'K_XZ
+    cross aggregate.
     """
     if g.m < 4:
         raise ValueError(f"variance estimator requires m ≥ 4, got m = {g.m}")
     m = int(g.m)
-    wy, wz = g["yy"], g["zz"]
     cy, cz = g["xy"], g["xz"]
-    r_xy, c_xy = _sq(cy.row_sums), _sq(g["yx"].row_sums)
-    r_xz, c_xz = _sq(cz.row_sums), _sq(g["zx"].row_sums)
-    r_yy, r_zz = _sq(wy.row_sums), _sq(wz.row_sums)
-    b_xy_xz = np.vecdot(cy.row_sums, cz.row_sums)       # 1' Kxy' Kxz 1
-    b_yy_yx = np.vecdot(wy.row_sums, g["yx"].row_sums)  # 1' Kyy~ Kxy' 1
-    b_zz_zx = np.vecdot(wz.row_sums, g["zx"].row_sums)  # 1' Kzz~ Kxz' 1
-
-    m1, m2, m3 = m - 1, m - 2, m - 3
     return (
-        4.0 * (m * m - m - 1) * (r_xy + c_xy + r_xz + c_xz) / (m ** 3 * m1 ** 3)
-        + 4.0 * (r_yy + r_zz) / falling_factorial(m, 4)
-        - 8.0 * b_xy_xz / (m ** 3 * m1)
-        - 8.0 * (b_yy_yx + b_zz_zx) / (m * m * m1 * m2)
-        - 4.0 * (2 * m - 3) * (cy.total * cy.total + cz.total * cz.total) / (m ** 3 * m1 ** 3)
-        - 2.0 * (2 * m - 3) * (wy.total * wy.total + wz.total * wz.total)
-        / (falling_factorial(m, 2) * falling_factorial(m, 4))
-        + 8.0 * cy.total * cz.total / (m ** 4 * m1)
-        + 8.0 * (wy.total * cy.total + wz.total * cz.total)
-        / (m * m * falling_factorial(m, 3))
-        - 4.0 * m2 * (cy.frob_sq + cz.frob_sq) / (m * m * m1 ** 3)
-        - 2.0 * (wy.frob_sq + wz.frob_sq) / (m * m1 * m2 * m3)
+        _own(g, "y", "x") + _own(g, "z", "x") + _cross(g, "x", "y") + _cross(g, "x", "z")
+        - 8.0 * np.vecdot(cy.row_sums, cz.row_sums) / (m ** 3 * (m - 1))
+        + 8.0 * (cy.total * cz.total) / (m ** 4 * (m - 1))
     )
 
 

@@ -81,7 +81,7 @@ class KernelSpec:
                     raise ValueError(f"rbf bandwidth must be positive, with 2 sigma^2 and "
                                      f"1 / (2 sigma^2) finite and nonzero, got {sigma!r}")
         elif self.kind == "polynomial":
-            if self.degree is None or int(self.degree) != self.degree or self.degree < 1:
+            if self.degree is None or not 1 <= self.degree < math.inf or self.degree % 1:
                 raise ValueError("polynomial kernel requires integer degree >= 1")
             if self.coef0 is None:
                 object.__setattr__(self, "coef0", 0.0)

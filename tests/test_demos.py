@@ -1,8 +1,4 @@
-"""The quick demos run to completion; each exercises the public imports.
-
-``unbiasedness_demo.py`` is left out: it runs for about 9 s, and the
-tests already cover every name it imports.
-"""
+"""The demos run to completion; each exercises the public imports."""
 
 import os
 import subprocess
@@ -15,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["oracle_crosscheck.py", "two_sample_test.py",
-                                  "relative_similarity.py"])
+                                  "relative_similarity.py", "unbiasedness_demo.py"])
 def test_demo_runs(demo):
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],

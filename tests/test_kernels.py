@@ -40,7 +40,7 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec.rbf("auto")
 
-    @pytest.mark.parametrize("deg", [0, -2, 1.5])
+    @pytest.mark.parametrize("deg", [0, -2, 1.5, math.inf, math.nan])
     def test_polynomial_degree_validated(self, deg):
         with pytest.raises(ValueError, match="degree"):
             KernelSpec("polynomial", degree=deg)
