@@ -1,4 +1,5 @@
-"""Every O(m^2) estimator has an O(m^4) nested-loop twin; compare them.
+"""Every O(m^2) estimator has a twin that enumerates its index pattern
+over all distinct index tuples (up to O(m^4) of them); compare them.
 
 Also shows the assembly identity: the merged-coefficient variance
 estimator equals the population variance formula evaluated on the
@@ -19,7 +20,7 @@ x, y, z = rng.normal(size=(3, m, 2))
 g = build_gram_pack(x, y, z, spec=KernelSpec.polynomial(2, coef0=0.5))
 estimates = sub_term_estimates(g)
 
-print(f"{'term':<12} {'matrix form':>16} {'nested loops':>16} {'rel err':>10}")
+print(f"{'term':<12} {'matrix form':>16} {'enumerated':>16} {'rel err':>10}")
 for term_id, value in estimates.items():
     truth = oracle_term(g, term_id)
     rel = abs(value - truth) / max(abs(truth), 1e-300)

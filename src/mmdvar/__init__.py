@@ -10,7 +10,7 @@ rows the Gram aggregates are accumulated over):
   statistics that share their first sample (the three-sample setting).
 
 The verification layer that certifies these estimates is imported from its
-modules, not from the package: :mod:`mmdvar.oracle` holds the nested-loop
+modules, not from the package: :mod:`mmdvar.oracle` holds the index-pattern
 oracles, the target table and the closed-form population values for a
 scalar Gaussian model under the linear kernel, and :mod:`mmdvar.montecarlo`
 the Monte Carlo harness that checks unbiasedness and variance tracking.

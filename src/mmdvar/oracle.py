@@ -3,9 +3,11 @@
 :data:`TARGETS` registers each verification target once: its estimator,
 minimum m, need for a z sample, and the oracles it must agree with:
 
-* nested-loop twins of the sub-term estimators, written as literal sums
-  over explicitly enumerated tuples of distinct indices with no matrix
-  shortcuts (O(m^4) worst case, guarded at m <= 30);
+* an enumerated twin of each sub-term estimator: the term's pattern of
+  kernel factors, averaged by one enumerator over every tuple of indices
+  that is distinct within each sample, reading only matrix entries at the
+  enumerated tuples (O(m^4) tuples for four-index patterns, guarded at
+  m <= 30);
 * the population variance of the squared-MMD U-statistic and of the
   difference of two such statistics sharing a sample, evaluated from
   population moments, together with the first/second-order variance
@@ -22,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product, starmap
+from operator import add
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -33,213 +36,86 @@ from .estimators import (
 )
 from .kernels import GramPack
 
-ORACLE_MAX_M = 30  # the quartic loops get expensive fast
+ORACLE_MAX_M = 30  # the four-index patterns enumerate O(m^4) tuples
 
 Pair = tuple[str, str]
+
+#: A point is (role, slot): the role is "a" or "b", a target row's two
+#: populations, or a population named outright; a factor is a pair of points,
+#: one kernel entry; a pattern is a tuple of at most two factors.
+Point = tuple[str, int]
+Pattern = tuple[tuple[Point, Point], ...]
 
 
 def _guard(g: GramPack) -> None:
     if g.samples["x"].ndim != 2:
-        raise ValueError("the loop oracles take one dataset, not a stack of replicates")
+        raise ValueError("the oracles take one dataset, not a stack of replicates")
     if g.m > ORACLE_MAX_M:
-        raise ValueError(f"oracle refuses m = {g.m} > {ORACLE_MAX_M} (O(m^4) loops)")
+        raise ValueError(f"oracle refuses m = {g.m} > {ORACLE_MAX_M} "
+                         "(patterns of four indices enumerate O(m^4) tuples)")
 
 
-def _ff(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
+def _pattern(text: str) -> Pattern:
+    """``"a0b1 a2b3"`` is ((("a", 0), ("b", 1)), (("a", 2), ("b", 3)))."""
+    return tuple(((f[0], int(f[1])), (f[2], int(f[3]))) for f in text.split())
 
 
-def _mat(g: GramPack, a: str, b: str) -> list[list[float]]:
-    return g.matrix(a, b).tolist()
+def _draws(m: int, sizes: list[int]):
+    """Every flat index tuple whose consecutive groups of ``sizes`` entries
+    each hold distinct indices in range(m).  One group is drawn lazily;
+    across groups ``product`` holds its inputs (at most m^3 tuples each),
+    never the tuples it yields."""
+    head = permutations(range(m), sizes[0])
+    if len(sizes) == 1:
+        return head
+    return starmap(add, product(head, _draws(m, sizes[1:])))
 
 
-# --- literal loop transcriptions -------------------------------------------
-# Ordered tuples, never deduplicated by symmetry; each function is the
-# defining sum of its estimand divided by the count of admissible tuples.
-
-def _loop_mu_within(k: list[list[float]], m: int) -> float:
-    tot = 0.0
-    for i in range(m):
-        for j in range(m):
-            if j == i:
-                continue
-            tot += k[i][j]
-    return tot / _ff(m, 2)
-
-
-def _loop_mu_cross(k: list[list[float]], m: int) -> float:
-    tot = 0.0
-    for i in range(m):
-        for j in range(m):
-            tot += k[i][j]
-    return tot / (m * m)
-
-
-def _loop_mu_sq_within(k: list[list[float]], m: int) -> float:
-    tot = 0.0
-    for i in range(m):
-        ki = k[i]
-        for j in range(m):
-            if j == i:
-                continue
-            kij = ki[j]
-            for a in range(m):
-                if a == i or a == j:
-                    continue
-                ka = k[a]
-                for b in range(m):
-                    if b == i or b == j or b == a:
-                        continue
-                    tot += kij * ka[b]
-    return tot / _ff(m, 4)
-
-
-def _loop_mu_sq_cross(k: list[list[float]], m: int) -> float:
-    tot = 0.0
-    for i in range(m):
-        for j in range(m):
-            kij = k[i][j]
-            for i2 in range(m):
-                if i2 == i:
-                    continue
-                ki2 = k[i2]
-                for j2 in range(m):
-                    if j2 == j:
-                        continue
-                    tot += kij * ki2[j2]
-    return tot / (m * m * (m - 1) * (m - 1))
-
-
-def _loop_prod_own(kw: list[list[float]], kc: list[list[float]], m: int) -> float:
-    # <mu_a, mu_a><mu_a, mu_b>: i, j != i, l outside {i, j}, all o
-    tot = 0.0
-    for i in range(m):
-        kwi = kw[i]
-        for j in range(m):
-            if j == i:
-                continue
-            kwij = kwi[j]
-            for l in range(m):
-                if l == i or l == j:
-                    continue
-                kcl = kc[l]
-                for o in range(m):
-                    tot += kwij * kcl[o]
-    return tot / (m * _ff(m, 3))
-
-
-def _loop_prod_shared(ky: list[list[float]], kz: list[list[float]], m: int) -> float:
-    # <mu_x, mu_y><mu_x, mu_z>: i, a, j != i, b
-    tot = 0.0
-    for i in range(m):
-        kyi = ky[i]
-        for a in range(m):
-            kyia = kyi[a]
-            for j in range(m):
-                if j == i:
-                    continue
-                kzj = kz[j]
-                for b in range(m):
-                    tot += kyia * kzj[b]
-    return tot / (m ** 3 * (m - 1))
-
-
-def _loop_phi_sq_within(k: list[list[float]], m: int) -> float:
-    # E[<phi(A), mu_a>^2]: i, j != i, l outside {i, j}
-    tot = 0.0
-    for i in range(m):
-        ki = k[i]
-        for j in range(m):
-            if j == i:
-                continue
-            kij = ki[j]
-            for l in range(m):
-                if l == i or l == j:
-                    continue
-                tot += kij * ki[l]
-    return tot / _ff(m, 3)
-
-
-def _loop_phi_sq_cross(k: list[list[float]], m: int) -> float:
-    # E[<phi(A), mu_b>^2]: i, j, l != j
-    tot = 0.0
-    for i in range(m):
-        ki = k[i]
-        for j in range(m):
-            kij = ki[j]
-            for l in range(m):
-                if l == j:
-                    continue
-                tot += kij * ki[l]
-    return tot / (m * m * (m - 1))
-
-
-def _loop_phi_prod_own(kw: list[list[float]], kc: list[list[float]], m: int) -> float:
-    # E[<phi(A), mu_a><phi(A), mu_b>]: i, j != i, all l
-    tot = 0.0
-    for i in range(m):
-        kwi = kw[i]
-        kci = kc[i]
-        for j in range(m):
-            if j == i:
-                continue
-            kwij = kwi[j]
-            for l in range(m):
-                tot += kwij * kci[l]
-    return tot / (m * m * (m - 1))
-
-
-def _loop_phi_prod_shared(ky: list[list[float]], kz: list[list[float]], m: int) -> float:
-    # E[<phi(X), mu_y><phi(X), mu_z>]: i, j, l
-    tot = 0.0
-    for i in range(m):
-        kyi = ky[i]
-        kzi = kz[i]
-        for j in range(m):
-            kyij = kyi[j]
-            for l in range(m):
-                tot += kyij * kzi[l]
-    return tot / m ** 3
-
-
-def _loop_k2_within(k: list[list[float]], m: int) -> float:
-    tot = 0.0
-    for i in range(m):
-        for j in range(m):
-            if j == i:
-                continue
-            tot += k[i][j] ** 2
-    return tot / _ff(m, 2)
-
-
-def _loop_k2_cross(k: list[list[float]], m: int) -> float:
-    tot = 0.0
-    for i in range(m):
-        for j in range(m):
-            tot += k[i][j] ** 2
-    return tot / (m * m)
+def _enumerate(g: GramPack, pattern: Pattern, a: str, b: str) -> float:
+    """The U-statistic of a pattern: the average, over every assignment of
+    indices to its points that is distinct within each population, of the
+    product of its kernel entries.  Points that resolve to one population
+    are distinct draws from it, so one pattern serves a == b and a != b."""
+    role = {"a": a, "b": b}
+    pop = {slot: role.get(r, r) for factor in pattern for r, slot in factor}
+    groups: dict[str, list[int]] = {}
+    for slot, p in pop.items():
+        groups.setdefault(p, []).append(slot)
+    at = {slot: i for i, slot in enumerate(s for slots in groups.values() for s in slots)}
+    draws = _draws(g.m, [len(slots) for slots in groups.values()])
+    factors = [(pop[p], pop[q], at[p], at[q]) for (_, p), (_, q) in pattern]
+    rows = {uv: g.matrix(*uv).tolist() for uv in {f[:2] for f in factors}}
+    (u, v, i, j), *rest = factors
+    k = rows[u, v]
+    tot, n = 0.0, 0
+    if not rest:
+        for t in draws:
+            tot += k[t[i]][t[j]]
+            n += 1
+    else:
+        ((u2, v2, i2, j2),) = rest
+        k2 = rows[u2, v2]
+        for t in draws:
+            tot += k[t[i]][t[j]] * k2[t[i2]][t[j2]]
+            n += 1
+    return tot / n
 
 
 def oracle_mmd2(g: GramPack, pair: str = "xy") -> float:
-    """Double-loop squared-MMD U-statistic (no cached sums)."""
+    """Squared-MMD U-statistic as a literal sum over index pairs i != j (no
+    cached sums): a paired statistic, so not a pattern of independent draws."""
     if pair not in ("xy", "xz"):
         raise ValueError(f"pair must be 'xy' or 'xz', got {pair!r}")
     _guard(g)
-    m = g.m
     b = pair[1]
-    kaa = _mat(g, "x", "x")
-    kbb = _mat(g, b, b)
-    kab = _mat(g, "x", b)
-    tot = 0.0
-    for i in range(m):
-        for j in range(m):
-            if j == i:
-                continue
-            tot += kaa[i][j] + kbb[i][j] - kab[i][j] - kab[j][i]
-    return tot / _ff(m, 2)
+    kaa = g.matrix("x", "x").tolist()
+    kbb = g.matrix(b, b).tolist()
+    kab = g.matrix("x", b).tolist()
+    tot, n = 0.0, 0
+    for i, j in permutations(range(g.m), 2):
+        tot += kaa[i][j] + kbb[i][j] - kab[i][j] - kab[j][i]
+        n += 1
+    return tot / n
 
 
 # ---------------------------------------------------------------------------
@@ -390,44 +266,33 @@ class Target(NamedTuple):
     estimate: Callable[[GramPack], float]  # the O(m^2) estimator
     min_m: int
     needs_z: bool
-    loop: Callable[[GramPack], float] | None  # nested-loop twin (sub-terms only)
+    loop: Callable[[GramPack], float] | None  # enumerated pattern twin (sub-terms only)
     truth: Callable[[PopulationMoments, int | None], float]  # population value at m
 
 
-def _loop_ab(within, cross):
-    return lambda g, a, b: (within if a == b else cross)(_mat(g, a, b), g.m)
-
-
-#: Term families: (estimator, loop twin, population value), each taking a row's
+#: Term families: (estimator, pattern, population value), each taking a row's
 #: populations (a, b).  "own" products pair a with a and b; "shared" ones X with a and b.
 _FAMILIES = {
-    "mu": (mu_dot, _loop_ab(_loop_mu_within, _loop_mu_cross),
-           lambda mom, a, b: mom.mu[a, b]),
-    "mu_sq": (mu_dot_sq, _loop_ab(_loop_mu_sq_within, _loop_mu_sq_cross),
+    "mu": (mu_dot, _pattern("a0b1"), lambda mom, a, b: mom.mu[a, b]),
+    "mu_sq": (mu_dot_sq, _pattern("a0b1 a2b3"),
               lambda mom, a, b: mom.mu[a, b] * mom.mu[a, b]),
-    "prod_own": (mu_dot_prod_own,
-                 lambda g, a, b: _loop_prod_own(_mat(g, a, a), _mat(g, a, b), g.m),
+    "prod_own": (mu_dot_prod_own, _pattern("a0a1 a2b3"),
                  lambda mom, a, b: mom.mu[a, a] * mom.mu[a, b]),
-    "prod_shared": (mu_dot_prod_shared,
-                    lambda g, a, b: _loop_prod_shared(_mat(g, "x", a), _mat(g, "x", b), g.m),
+    "prod_shared": (mu_dot_prod_shared, _pattern("x0a1 x2b3"),
                     lambda mom, a, b: mom.mu["x", a] * mom.mu["x", b]),
-    "ephi2": (phi_mu_sq, _loop_ab(_loop_phi_sq_within, _loop_phi_sq_cross),
-              lambda mom, a, b: mom.phi_sq[a, b]),
-    "ephi_own": (phi_mu_prod_own,
-                 lambda g, a, b: _loop_phi_prod_own(_mat(g, a, a), _mat(g, a, b), g.m),
+    "ephi2": (phi_mu_sq, _pattern("a0b1 a0b2"), lambda mom, a, b: mom.phi_sq[a, b]),
+    "ephi_own": (phi_mu_prod_own, _pattern("a0a1 a0b2"),
                  lambda mom, a, b: mom.phi_prod[a, a, b]),
-    "ephi_shared": (phi_mu_prod_shared,
-                    lambda g, a, b: _loop_phi_prod_shared(_mat(g, "x", a), _mat(g, "x", b), g.m),
+    "ephi_shared": (phi_mu_prod_shared, _pattern("x0a1 x0b2"),
                     lambda mom, a, b: mom.phi_prod["x", a, b]),
-    "ek2": (k2_mean, _loop_ab(_loop_k2_within, _loop_k2_cross),
-            lambda mom, a, b: mom.k2[a, b]),
+    "ek2": (k2_mean, _pattern("a0b1 a0b1"), lambda mom, a, b: mom.k2[a, b]),
 }
 
 
 def _term(family: str, a: str, b: str, min_m: int) -> Target:
-    estimate, loop, truth = _FAMILIES[family]
+    estimate, pattern, truth = _FAMILIES[family]
     return Target(lambda g: estimate(g, a, b), min_m, "z" in (a, b),
-                  lambda g: loop(g, a, b), lambda mom, m: truth(mom, a, b))
+                  lambda g: _enumerate(g, pattern, a, b), lambda mom, m: truth(mom, a, b))
 
 
 #: Every sub-term the variance expressions are built from, as
@@ -519,8 +384,8 @@ def sub_term_estimates(g: GramPack) -> dict[str, float]:
 
 
 def oracle_term(g: GramPack, term_id: str) -> float:
-    """Nested-loop evaluation of one sub-term; the ground truth the matrix
-    estimators are checked against."""
+    """One sub-term's pattern, enumerated over its distinct index tuples;
+    the ground truth the matrix estimators are checked against."""
     _guard(g)
     return check_target(term_id, g.m, g.has_z, sub_term=True).loop(g)
 
