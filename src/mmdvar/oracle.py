@@ -8,10 +8,10 @@ minimum m, need for a z sample, and the oracles it must agree with:
   that is distinct within each sample, reading only matrix entries at the
   enumerated tuples (O(m^4) tuples for four-index patterns, guarded at
   m <= 30);
-* the population variance of the squared-MMD U-statistic and of the
-  difference of two such statistics sharing a sample, evaluated from
-  population moments, together with the first/second-order variance
-  components of the underlying pair kernel;
+* Hoeffding's variance of the squared-MMD U-statistic and of the difference
+  of two such statistics sharing a sample, its components summed over own,
+  cross and coupling parts in sub-term values: population values give the
+  true variance, sub-term estimates the assembled estimator;
 * closed-form population moments for scalar Gaussian samples under the
   linear kernel, the one model where every moment is elementary, plus a
   nested Monte Carlo estimator of the variance components used to
@@ -39,6 +39,7 @@ from .kernels import GramPack
 ORACLE_MAX_M = 30  # the four-index patterns enumerate O(m^4) tuples
 
 Pair = tuple[str, str]
+Terms = Callable[[str], float]  # a sub-term id -> its value
 
 #: A point is (role, slot): the role is "a" or "b", a target row's two
 #: populations, or a population named outright; a factor is a pair of points,
@@ -71,17 +72,24 @@ def _draws(m: int, sizes: list[int]):
     return starmap(add, product(head, _draws(m, sizes[1:])))
 
 
+def _groups(pattern: Pattern, a: str, b: str) -> dict[str, list[int]]:
+    """A pattern's slots grouped by the population each resolves to, both in
+    order of first appearance.  Points that resolve to one population are
+    distinct draws from it, so one pattern serves a == b and a != b."""
+    role = {"a": a, "b": b}
+    groups: dict[str, list[int]] = {}
+    for slot, p in {slot: role.get(r, r) for factor in pattern for r, slot in factor}.items():
+        groups.setdefault(p, []).append(slot)
+    return groups
+
+
 def _enumerate(g: GramPack, pattern: Pattern, a: str, b: str) -> float:
     """The U-statistic of a pattern: the average, over every assignment of
     indices to its points that is distinct within each population, of the
-    product of its kernel entries.  Points that resolve to one population
-    are distinct draws from it, so one pattern serves a == b and a != b."""
-    role = {"a": a, "b": b}
-    pop = {slot: role.get(r, r) for factor in pattern for r, slot in factor}
-    groups: dict[str, list[int]] = {}
-    for slot, p in pop.items():
-        groups.setdefault(p, []).append(slot)
-    at = {slot: i for i, slot in enumerate(s for slots in groups.values() for s in slots)}
+    product of its kernel entries."""
+    groups = _groups(pattern, a, b)
+    order = [(slot, p) for p, slots in groups.items() for slot in slots]
+    pop, at = dict(order), {slot: i for i, (slot, _) in enumerate(order)}
     draws = _draws(g.m, [len(slots) for slots in groups.values()])
     factors = [(pop[p], pop[q], at[p], at[q]) for (_, p), (_, q) in pattern]
     rows = {uv: g.matrix(*uv).tolist() for uv in {f[:2] for f in factors}}
@@ -151,47 +159,60 @@ class PopulationMoments:
 def population_mmd2(mom: PopulationMoments, pair: str = "xy") -> float:
     """Population squared MMD between two of the modelled populations."""
     a, b = pair[0], pair[1]
-    return mom.mu[a, a] + mom.mu[b, b] - 2.0 * mom.mu[a, b]
+    return mom.mu[a, a] + mom.mu[b, b] - 2 * mom.mu[a, b]
 
 
-def mmd2_var_from_terms(term: Callable[[str], float], m: int) -> float:
-    """Sampling variance of the two-sample squared-MMD U-statistic, written
-    as a fixed linear combination of term values.
+def _coupling(term: Terms, c: str, a: str, b: str) -> tuple[float, float]:
+    """K_ca and K_cb coupled through their shared sample c."""
+    s = term(f"prod_{c}{a}_{c}{b}") - term(f"ephi_{c}{a}_{c}{b}")
+    return 2 * s, 4 * s
 
-    Called with population values it gives the true variance; called with
-    the unbiased sub-term estimates it gives the assembled (equivalent) form
-    of :func:`mmdvar.estimators.mmd2_var`.
-    """
+
+def _own(term: Terms, b: str, o: str) -> tuple[float, float]:
+    """Sample b's own part beside sample o: K_bb, and its coupling with K_bo."""
+    c1, c2 = _coupling(term, b, b, o)
+    mu_sq = term(f"mu_sq_{b}{b}")
+    return term(f"ephi2_{b}{b}") - mu_sq + c1, term(f"ek2_{b}{b}") - mu_sq + c2
+
+
+def _cross(term: Terms, a: str, b: str) -> tuple[float, float]:
+    """The part of the cross matrix K_ab alone."""
+    mu_sq = term(f"mu_sq_{a}{b}")
+    return (term(f"ephi2_{a}{b}") + term(f"ephi2_{b}{a}") - 2 * mu_sq,
+            2 * term(f"ek2_{a}{b}") - 2 * mu_sq)
+
+
+def _mmd2_zeta(term: Terms) -> tuple[float, float]:
+    parts = _own(term, "x", "y"), _own(term, "y", "x"), _cross(term, "x", "y")
+    return tuple(map(sum, zip(*parts)))
+
+
+def _diff_zeta(term: Terms) -> tuple[float, float]:
+    # X's own part cancels from the difference; X couples K_XY with K_XZ instead
+    parts = (_own(term, "y", "x"), _own(term, "z", "x"), _cross(term, "x", "y"),
+             _cross(term, "x", "z"), _coupling(term, "x", "y", "z"))
+    return tuple(map(sum, zip(*parts)))
+
+
+def u_stat_variance(first_order: float, second_order: float, m: int) -> float:
+    """Exact variance of a degree-2 U-statistic over m draws (Hoeffding, 1948)
+    from its components Var E[h | U1] and Var h, h its pair kernel."""
     if m < 2:
         raise ValueError("variance formula needs m >= 2")
-    s = (
-        2 * (m - 2) * (term("ephi2_xx") + term("ephi2_yy")
-                       + term("ephi2_xy") + term("ephi2_yx"))
-        - (2 * m - 3) * (term("mu_sq_xx") + term("mu_sq_yy"))
-        - (4 * m - 6) * term("mu_sq_xy")
-        - 4 * (m - 1) * (term("ephi_xx_xy") + term("ephi_yy_yx"))
-        + 4 * (m - 1) * (term("prod_xx_xy") + term("prod_yy_yx"))
-        + term("ek2_xx") + term("ek2_yy") + 2 * term("ek2_xy")
-    )
-    return 2.0 * s / (m * (m - 1))
+    return 2 * (2 * (m - 2) * first_order + second_order) / (m * (m - 1))
 
 
-def diff_var_from_terms(term: Callable[[str], float], m: int) -> float:
-    """Sampling variance of mmd2_u(X, Y) - mmd2_u(X, Z) as a combination of
-    term values; see :func:`mmd2_var_from_terms`."""
-    if m < 2:
-        raise ValueError("variance formula needs m >= 2")
-    s = (
-        2 * (m - 2) * (term("ephi2_xy") + term("ephi2_xz")
-                       + term("ephi2_yx") + term("ephi2_zx")
-                       + term("ephi2_yy") + term("ephi2_zz"))
-        - 2 * (2 * m - 3) * (term("mu_sq_xy") + term("mu_sq_xz"))
-        - (2 * m - 3) * (term("mu_sq_yy") + term("mu_sq_zz"))
-        + 4 * (m - 1) * (term("prod_xy_xz") + term("prod_yy_yx") + term("prod_zz_zx"))
-        - 4 * (m - 1) * (term("ephi_xy_xz") + term("ephi_yy_yx") + term("ephi_zz_zx"))
-        + 2 * (term("ek2_xy") + term("ek2_xz")) + term("ek2_yy") + term("ek2_zz")
-    )
-    return 2.0 * s / (m * (m - 1))
+def mmd2_var_from_terms(term: Terms, m: int) -> float:
+    """Sampling variance of the two-sample squared-MMD U-statistic from term
+    values: the true variance from population values, and the assembled form
+    of :func:`mmdvar.estimators.mmd2_var` from the sub-term estimates."""
+    return u_stat_variance(*_mmd2_zeta(term), m)
+
+
+def diff_var_from_terms(term: Terms, m: int) -> float:
+    """Sampling variance of mmd2_u(X, Y) - mmd2_u(X, Z) from term values;
+    see :func:`mmd2_var_from_terms`."""
+    return u_stat_variance(*_diff_zeta(term), m)
 
 
 def population_mmd2_var(mom: PopulationMoments, m: int) -> float:
@@ -206,54 +227,13 @@ def population_diff_var(mom: PopulationMoments, m: int) -> float:
 
 def mmd2_var_components(mom: PopulationMoments) -> tuple[float, float]:
     """First- and second-order variance components of the two-sample pair
-    kernel h(U1, U2): the variance of E[h | U1] and the total variance of h.
-
-    ``u_stat_variance(first, second, m)`` must reproduce
-    :func:`population_mmd2_var`; that identity is a transcription check.
-    """
-    t = mom.term
-    first = (
-        t("ephi2_xx") - t("mu_sq_xx") + t("ephi2_yy") - t("mu_sq_yy")
-        + t("ephi2_xy") - t("mu_sq_xy") + t("ephi2_yx") - t("mu_sq_xy")
-        - 2.0 * t("ephi_xx_xy") + 2.0 * t("prod_xx_xy")
-        - 2.0 * t("ephi_yy_yx") + 2.0 * t("prod_yy_yx")
-    )
-    second = (
-        t("ek2_xx") - t("mu_sq_xx") + t("ek2_yy") - t("mu_sq_yy")
-        + 2.0 * t("ek2_xy") - 2.0 * t("mu_sq_xy")
-        - 4.0 * t("ephi_xx_xy") + 4.0 * t("prod_xx_xy")
-        - 4.0 * t("ephi_yy_yx") + 4.0 * t("prod_yy_yx")
-    )
-    return first, second
+    kernel h(U1, U2): the variance of E[h | U1] and the total variance of h."""
+    return _mmd2_zeta(mom.term)
 
 
 def diff_var_components(mom: PopulationMoments) -> tuple[float, float]:
     """Variance components of the three-sample difference pair kernel."""
-    t = mom.term
-    first = (
-        t("ephi2_xy") - t("mu_sq_xy") + t("ephi2_xz") - t("mu_sq_xz")
-        + t("ephi2_yx") - t("mu_sq_xy") + t("ephi2_yy") - t("mu_sq_yy")
-        + t("ephi2_zx") - t("mu_sq_xz") + t("ephi2_zz") - t("mu_sq_zz")
-        - 2.0 * t("ephi_xy_xz") + 2.0 * t("prod_xy_xz")
-        - 2.0 * t("ephi_yy_yx") + 2.0 * t("prod_yy_yx")
-        - 2.0 * t("ephi_zz_zx") + 2.0 * t("prod_zz_zx")
-    )
-    second = (
-        2.0 * t("ek2_xy") - 2.0 * t("mu_sq_xy")
-        + 2.0 * t("ek2_xz") - 2.0 * t("mu_sq_xz")
-        + t("ek2_yy") - t("mu_sq_yy") + t("ek2_zz") - t("mu_sq_zz")
-        - 4.0 * t("ephi_xy_xz") + 4.0 * t("prod_xy_xz")
-        - 4.0 * t("ephi_yy_yx") + 4.0 * t("prod_yy_yx")
-        - 4.0 * t("ephi_zz_zx") + 4.0 * t("prod_zz_zx")
-    )
-    return first, second
-
-
-def u_stat_variance(first_order: float, second_order: float, m: int) -> float:
-    """Exact variance of a degree-2 U-statistic from its variance components."""
-    if m < 2:
-        raise ValueError("variance formula needs m >= 2")
-    return 2.0 * (2 * (m - 2) * first_order + second_order) / (m * (m - 1))
+    return _diff_zeta(mom.term)
 
 
 # ---------------------------------------------------------------------------
@@ -289,47 +269,50 @@ _FAMILIES = {
 }
 
 
-def _term(family: str, a: str, b: str, min_m: int) -> Target:
+def _term(family: str, a: str, b: str) -> Target:
+    """A sub-term's row; its minimum m is the most distinct points its pattern
+    draws from one population, and at least 2."""
     estimate, pattern, truth = _FAMILIES[family]
+    min_m = max(2, *map(len, _groups(pattern, a, b).values()))
     return Target(lambda g: estimate(g, a, b), min_m, "z" in (a, b),
                   lambda g: _enumerate(g, pattern, a, b), lambda mom, m: truth(mom, a, b))
 
 
 #: Every sub-term the variance expressions are built from, as
-#: (family, a, b, min_m).  Ids spell populations and orientation:
+#: (family, a, b).  Ids spell populations and orientation:
 #: ``ephi2_yx`` is E[<phi(Y), mu_x>^2], ``prod_xx_xy`` is
 #: <mu_x, mu_x><mu_x, mu_y>.
 TERMS: dict[str, Target] = {t: _term(*row) for t, row in {
-    "mu_xx": ("mu", "x", "x", 2),
-    "mu_yy": ("mu", "y", "y", 2),
-    "mu_zz": ("mu", "z", "z", 2),
-    "mu_xy": ("mu", "x", "y", 2),
-    "mu_xz": ("mu", "x", "z", 2),
-    "mu_sq_xx": ("mu_sq", "x", "x", 4),
-    "mu_sq_yy": ("mu_sq", "y", "y", 4),
-    "mu_sq_zz": ("mu_sq", "z", "z", 4),
-    "mu_sq_xy": ("mu_sq", "x", "y", 2),
-    "mu_sq_xz": ("mu_sq", "x", "z", 2),
-    "prod_xx_xy": ("prod_own", "x", "y", 3),
-    "prod_yy_yx": ("prod_own", "y", "x", 3),
-    "prod_zz_zx": ("prod_own", "z", "x", 3),
-    "prod_xy_xz": ("prod_shared", "y", "z", 2),
-    "ephi2_xx": ("ephi2", "x", "x", 3),
-    "ephi2_yy": ("ephi2", "y", "y", 3),
-    "ephi2_zz": ("ephi2", "z", "z", 3),
-    "ephi2_xy": ("ephi2", "x", "y", 2),
-    "ephi2_yx": ("ephi2", "y", "x", 2),
-    "ephi2_xz": ("ephi2", "x", "z", 2),
-    "ephi2_zx": ("ephi2", "z", "x", 2),
-    "ephi_xx_xy": ("ephi_own", "x", "y", 2),
-    "ephi_yy_yx": ("ephi_own", "y", "x", 2),
-    "ephi_zz_zx": ("ephi_own", "z", "x", 2),
-    "ephi_xy_xz": ("ephi_shared", "y", "z", 2),
-    "ek2_xx": ("ek2", "x", "x", 2),
-    "ek2_yy": ("ek2", "y", "y", 2),
-    "ek2_zz": ("ek2", "z", "z", 2),
-    "ek2_xy": ("ek2", "x", "y", 2),
-    "ek2_xz": ("ek2", "x", "z", 2),
+    "mu_xx": ("mu", "x", "x"),
+    "mu_yy": ("mu", "y", "y"),
+    "mu_zz": ("mu", "z", "z"),
+    "mu_xy": ("mu", "x", "y"),
+    "mu_xz": ("mu", "x", "z"),
+    "mu_sq_xx": ("mu_sq", "x", "x"),
+    "mu_sq_yy": ("mu_sq", "y", "y"),
+    "mu_sq_zz": ("mu_sq", "z", "z"),
+    "mu_sq_xy": ("mu_sq", "x", "y"),
+    "mu_sq_xz": ("mu_sq", "x", "z"),
+    "prod_xx_xy": ("prod_own", "x", "y"),
+    "prod_yy_yx": ("prod_own", "y", "x"),
+    "prod_zz_zx": ("prod_own", "z", "x"),
+    "prod_xy_xz": ("prod_shared", "y", "z"),
+    "ephi2_xx": ("ephi2", "x", "x"),
+    "ephi2_yy": ("ephi2", "y", "y"),
+    "ephi2_zz": ("ephi2", "z", "z"),
+    "ephi2_xy": ("ephi2", "x", "y"),
+    "ephi2_yx": ("ephi2", "y", "x"),
+    "ephi2_xz": ("ephi2", "x", "z"),
+    "ephi2_zx": ("ephi2", "z", "x"),
+    "ephi_xx_xy": ("ephi_own", "x", "y"),
+    "ephi_yy_yx": ("ephi_own", "y", "x"),
+    "ephi_zz_zx": ("ephi_own", "z", "x"),
+    "ephi_xy_xz": ("ephi_shared", "y", "z"),
+    "ek2_xx": ("ek2", "x", "x"),
+    "ek2_yy": ("ek2", "y", "y"),
+    "ek2_zz": ("ek2", "z", "z"),
+    "ek2_xy": ("ek2", "x", "y"),
+    "ek2_xz": ("ek2", "x", "z"),
 }.items()}
 
 TWO_SAMPLE_TERM_IDS: tuple[str, ...] = tuple(t for t, r in TERMS.items() if not r.needs_z)
@@ -414,11 +397,9 @@ class GaussianLinearModel:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if not self.var_x > 0 or not self.var_y > 0:
-            raise ValueError("variances must be strictly positive")
         if (self.mean_z is None) != (self.var_z is None):
             raise ValueError("provide both mean_z and var_z or neither")
-        if self.var_z is not None and not self.var_z > 0:
+        if not all(v > 0 for v in (self.var_x, self.var_y, self.var_z) if v is not None):
             raise ValueError("variances must be strictly positive")
 
     @property
@@ -426,12 +407,8 @@ class GaussianLinearModel:
         return self.mean_z is not None
 
     def params(self, pop: str) -> tuple[float, float]:
-        if pop == "x":
-            return self.mean_x, self.var_x
-        if pop == "y":
-            return self.mean_y, self.var_y
-        if pop == "z" and self.has_z:
-            return self.mean_z, self.var_z
+        if pop in ("x", "y") or pop == "z" and self.has_z:
+            return getattr(self, "mean_" + pop), getattr(self, "var_" + pop)
         raise ValueError(f"model has no population {pop!r}")
 
 
@@ -510,8 +487,7 @@ def mc_variance_components(
     if n_outer < 100 or n_inner < 100:
         raise ValueError("need n_outer >= 100 and n_inner >= 100")
     rng = np.random.default_rng(seed)
-    mx, vx = model.mean_x, model.var_x
-    my, vy = model.mean_y, model.var_y
+    (mx, vx), (my, vy) = model.params("x"), model.params("y")
 
     group_means = np.empty(n_outer)
     group_vars = np.empty(n_outer)

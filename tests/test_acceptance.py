@@ -50,7 +50,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_oracle_equivalence():
-    """Every sub-term estimator equals its nested-loop oracle on the full
+    """Every sub-term estimator equals its enumerated pattern on the full
     m x kernel x dataset grid, within 1e-10 relative (1e-12 absolute below
     1e-8), in under a minute."""
     start = time.perf_counter()

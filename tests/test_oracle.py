@@ -30,8 +30,8 @@ def pack123():
 
 
 class TestOracleLoops:
-    """The loop oracles reproduce values computed once with exact rational
-    arithmetic in an entirely separate implementation."""
+    """The enumerated pattern oracles reproduce values computed once with
+    exact rational arithmetic in an entirely separate implementation."""
 
     @pytest.mark.parametrize("term_id,expected", [
         ("mu_xy", 5.25),

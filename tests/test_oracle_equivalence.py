@@ -1,4 +1,4 @@
-"""Matrix estimators against their nested-loop twins on random data.
+"""Matrix estimators against their enumerated pattern twins on random data.
 
 The acceptance suite runs the full 50-dataset grid; this module keeps a
 faster randomized slice of the same checks for everyday development.

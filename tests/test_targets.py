@@ -1,5 +1,5 @@
 """The verification target table: every row resolves to a working estimator,
-a finite population value and, for sub-terms, a nested-loop twin."""
+a finite population value and, for sub-terms, an enumerated pattern twin."""
 
 import math
 import re
