@@ -12,11 +12,14 @@ table :data:`mmdvar.oracle.TARGETS` alone decides which m and samples each
 admits, and ``estimate_term`` and ``sub_term_estimates`` reach them through
 it.  The headline estimators, which data reach directly, check their input.
 
-The variance estimators are sums of parts each written once: an own-sample
-part per sample (its within matrix with a cross matrix), a cross part per
-cross matrix and, for the difference, a coupling through the shared X; K_XX
-cancels from the difference.  Each coefficient is an exact integer before
-one floating division per term.
+Both variance estimators are Hoeffding's variance of a degree-2
+U-statistic over the sub-term estimates, unbiased because it is linear in
+them; over population values the same formula gives the true variance
+(:mod:`mmdvar.oracle`).  Its components are sums of parts: an own-sample
+part per sample, a cross part per cross matrix and, for the difference, a
+coupling through the shared X, so K_XX cancels from the difference.  The
+merged form, one coefficient per aggregate, lives only in
+``tests/test_exact_variance.py``, as the exact reference.
 
 All estimators are O(m) reductions over the aggregates cached in a
 :class:`~mmdvar.kernels.GramPack`, so the total cost including the Gram
@@ -32,6 +35,7 @@ copies provided by :func:`full_report`, whose fields are Python floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import math
 
@@ -153,54 +157,79 @@ def k2_mean(g: GramPack, a: str, b: str) -> float:
 # variance estimators
 # ---------------------------------------------------------------------------
 
-def _own(g: GramPack, b: str, o: str):
-    """The variance terms that read b's within matrix W (zero diagonal) with C = K_bo."""
-    m = int(g.m)
-    w, c = g[b + b], g[b + o]
-    return (
-        4.0 * _sq(w.row_sums) / falling_factorial(m, 4)
-        - 8.0 * np.vecdot(w.row_sums, c.row_sums) / (m * m * (m - 1) * (m - 2))
-        + 8.0 * (w.total * c.total) / (m * m * falling_factorial(m, 3))
-        - 2.0 * (2 * m - 3) * (w.total * w.total)
-        / (falling_factorial(m, 2) * falling_factorial(m, 4))
-        - 2.0 * w.frob_sq / (m * (m - 1) * (m - 2) * (m - 3))
-    )
+#: The sub-term estimator of each term family, called with a pack and a
+#: row's populations (a, b): "own" products pair a with a and b, "shared"
+#: ones X with a and b.
+FAMILIES = {"mu": mu_dot, "mu_sq": mu_dot_sq, "prod_own": mu_dot_prod_own,
+            "prod_shared": mu_dot_prod_shared, "ephi2": phi_mu_sq,
+            "ephi_own": phi_mu_prod_own, "ephi_shared": phi_mu_prod_shared, "ek2": k2_mean}
+
+Terms = Callable[[str, str, str], float]  # (family, a, b) -> the term's value
 
 
-def _cross(g: GramPack, a: str, b: str):
-    """The variance terms that read the cross matrix C = K_ab alone."""
-    m = int(g.m)
-    c, cube = g[a + b], m ** 3 * (m - 1) ** 3
-    return (
-        4.0 * (m * m - m - 1) * (_sq(c.row_sums) + _sq(g[b + a].row_sums)) / cube
-        - 4.0 * (2 * m - 3) * (c.total * c.total) / cube
-        - 4.0 * (m - 2) * c.frob_sq / (m * m * (m - 1) ** 3)
-    )
+def _coupling(t: Terms, kind: str, a: str, b: str) -> tuple[float, float]:
+    """Two kernel matrices coupled through a shared sample: K_aa with K_ab
+    (``kind`` "own"), or K_xa with K_xb ("shared")."""
+    s = t("prod_" + kind, a, b) - t("ephi_" + kind, a, b)
+    return 2 * s, 4 * s
+
+
+def _own(t: Terms, b: str, o: str) -> tuple[float, float]:
+    """Sample b's own part beside sample o: K_bb, and its coupling with K_bo."""
+    c1, c2 = _coupling(t, "own", b, o)
+    mu_sq = t("mu_sq", b, b)
+    return t("ephi2", b, b) - mu_sq + c1, t("ek2", b, b) - mu_sq + c2
+
+
+def _cross(t: Terms, a: str, b: str) -> tuple[float, float]:
+    """The part of the cross matrix K_ab alone."""
+    mu_sq = t("mu_sq", a, b)
+    return t("ephi2", a, b) + t("ephi2", b, a) - 2 * mu_sq, 2 * t("ek2", a, b) - 2 * mu_sq
+
+
+def mmd2_zeta(t: Terms) -> tuple[float, float]:
+    """Hoeffding's components of mmd2_u(X, Y)'s pair kernel h, Var E[h | U1]
+    and Var h, in term values: X's and Y's own parts, K_XY's cross part."""
+    parts = _own(t, "x", "y"), _own(t, "y", "x"), _cross(t, "x", "y")
+    return tuple(map(sum, zip(*parts)))
+
+
+def diff_zeta(t: Terms) -> tuple[float, float]:
+    """The components of the pair kernel of mmd2_u(X, Y) - mmd2_u(X, Z)."""
+    # X's own part cancels from the difference; X couples K_XY with K_XZ instead
+    parts = (_own(t, "y", "x"), _own(t, "z", "x"), _cross(t, "x", "y"),
+             _cross(t, "x", "z"), _coupling(t, "shared", "y", "z"))
+    return tuple(map(sum, zip(*parts)))
+
+
+def u_stat_variance(first_order: float, second_order: float, m: int) -> float:
+    """Exact variance of a degree-2 U-statistic over m draws (Hoeffding, 1948)
+    from its components Var E[h | U1] and Var h, h its pair kernel."""
+    if m < 2:
+        raise ValueError("variance formula needs m >= 2")
+    return 2 * (2 * (m - 2) * first_order + second_order) / (m * (m - 1))
+
+
+def _estimate_variance(g: GramPack, zeta: Callable[[Terms], tuple[float, float]]) -> float:
+    if g.m < 4:
+        raise ValueError(f"variance estimator requires m ≥ 4, got m = {g.m}")
+    return u_stat_variance(*zeta(lambda family, a, b: FAMILIES[family](g, a, b)), g.m)
 
 
 def mmd2_var(g: GramPack) -> float:
-    """Unbiased estimate of Var[mmd2_u(X, Y)]: X's and Y's own parts, K_XY's cross part."""
-    if g.m < 4:
-        raise ValueError(f"variance estimator requires m ≥ 4, got m = {g.m}")
-    return _own(g, "x", "y") + _own(g, "y", "x") + _cross(g, "x", "y")
+    """Unbiased estimate of Var[mmd2_u(X, Y)]: Hoeffding's variance over the
+    sub-term estimates, unbiased because it is linear in them."""
+    return _estimate_variance(g, mmd2_zeta)
 
 
 def mmd2_diff_var(g: GramPack) -> float:
     """Unbiased estimate of Var[mmd2_u(X, Y) - mmd2_u(X, Z)].
 
     The two statistics share the X sample, so this is not a sum of two
-    variances: K_XX cancels, and the coupling enters through the K_XY'K_XZ
-    cross aggregate.
+    variances: K_XX cancels, and the coupling enters through the products
+    of <mu_x, mu_y> and <mu_x, mu_z> and of <phi(X), mu_y> and <phi(X), mu_z>.
     """
-    if g.m < 4:
-        raise ValueError(f"variance estimator requires m ≥ 4, got m = {g.m}")
-    m = int(g.m)
-    cy, cz = g["xy"], g["xz"]
-    return (
-        _own(g, "y", "x") + _own(g, "z", "x") + _cross(g, "x", "y") + _cross(g, "x", "z")
-        - 8.0 * np.vecdot(cy.row_sums, cz.row_sums) / (m ** 3 * (m - 1))
-        + 8.0 * (cy.total * cz.total) / (m ** 4 * (m - 1))
-    )
+    return _estimate_variance(g, diff_zeta)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ minimum m, need for a z sample, and the oracles it must agree with:
   that is distinct within each sample, reading only matrix entries at the
   enumerated tuples (O(m^4) tuples for four-index patterns, guarded at
   m <= 30);
-* Hoeffding's variance of the squared-MMD U-statistic and of the difference
-  of two such statistics sharing a sample, its components summed over own,
-  cross and coupling parts in sub-term values: population values give the
-  true variance, sub-term estimates the assembled estimator;
+* the true variance of the squared-MMD U-statistic and of the difference
+  of two such statistics sharing a sample: the estimators' own formula,
+  Hoeffding's variance over own, cross and coupling parts
+  (:func:`mmdvar.estimators.u_stat_variance`), read at population values
+  instead of sub-term estimates, and at enumerated sub-terms as the
+  variance estimators' twin (:func:`enumerated_terms`);
 * closed-form population moments for scalar Gaussian samples under the
   linear kernel, the one model where every moment is elementary, plus a
   nested Monte Carlo estimator of the variance components used to
@@ -31,15 +33,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .estimators import (
-    k2_mean, mmd2_diff_var, mmd2_u, mmd2_var, mu_dot, mu_dot_prod_own, mu_dot_prod_shared,
-    mu_dot_sq, phi_mu_prod_own, phi_mu_prod_shared, phi_mu_sq,
+    FAMILIES, Terms, diff_zeta, mmd2_diff_var, mmd2_u, mmd2_var, mmd2_zeta, u_stat_variance,
 )
 from .kernels import GramPack
 
 ORACLE_MAX_M = 30  # the four-index patterns enumerate O(m^4) tuples
 
 Pair = tuple[str, str]
-Terms = Callable[[str], float]  # a sub-term id -> its value
 
 #: A point is (role, slot): the role is "a" or "b", a target row's two
 #: populations, or a population named outright; a factor is a pair of points,
@@ -162,78 +162,29 @@ def population_mmd2(mom: PopulationMoments, pair: str = "xy") -> float:
     return mom.mu[a, a] + mom.mu[b, b] - 2 * mom.mu[a, b]
 
 
-def _coupling(term: Terms, c: str, a: str, b: str) -> tuple[float, float]:
-    """K_ca and K_cb coupled through their shared sample c."""
-    s = term(f"prod_{c}{a}_{c}{b}") - term(f"ephi_{c}{a}_{c}{b}")
-    return 2 * s, 4 * s
-
-
-def _own(term: Terms, b: str, o: str) -> tuple[float, float]:
-    """Sample b's own part beside sample o: K_bb, and its coupling with K_bo."""
-    c1, c2 = _coupling(term, b, b, o)
-    mu_sq = term(f"mu_sq_{b}{b}")
-    return term(f"ephi2_{b}{b}") - mu_sq + c1, term(f"ek2_{b}{b}") - mu_sq + c2
-
-
-def _cross(term: Terms, a: str, b: str) -> tuple[float, float]:
-    """The part of the cross matrix K_ab alone."""
-    mu_sq = term(f"mu_sq_{a}{b}")
-    return (term(f"ephi2_{a}{b}") + term(f"ephi2_{b}{a}") - 2 * mu_sq,
-            2 * term(f"ek2_{a}{b}") - 2 * mu_sq)
-
-
-def _mmd2_zeta(term: Terms) -> tuple[float, float]:
-    parts = _own(term, "x", "y"), _own(term, "y", "x"), _cross(term, "x", "y")
-    return tuple(map(sum, zip(*parts)))
-
-
-def _diff_zeta(term: Terms) -> tuple[float, float]:
-    # X's own part cancels from the difference; X couples K_XY with K_XZ instead
-    parts = (_own(term, "y", "x"), _own(term, "z", "x"), _cross(term, "x", "y"),
-             _cross(term, "x", "z"), _coupling(term, "x", "y", "z"))
-    return tuple(map(sum, zip(*parts)))
-
-
-def u_stat_variance(first_order: float, second_order: float, m: int) -> float:
-    """Exact variance of a degree-2 U-statistic over m draws (Hoeffding, 1948)
-    from its components Var E[h | U1] and Var h, h its pair kernel."""
-    if m < 2:
-        raise ValueError("variance formula needs m >= 2")
-    return 2 * (2 * (m - 2) * first_order + second_order) / (m * (m - 1))
-
-
-def mmd2_var_from_terms(term: Terms, m: int) -> float:
-    """Sampling variance of the two-sample squared-MMD U-statistic from term
-    values: the true variance from population values, and the assembled form
-    of :func:`mmdvar.estimators.mmd2_var` from the sub-term estimates."""
-    return u_stat_variance(*_mmd2_zeta(term), m)
-
-
-def diff_var_from_terms(term: Terms, m: int) -> float:
-    """Sampling variance of mmd2_u(X, Y) - mmd2_u(X, Z) from term values;
-    see :func:`mmd2_var_from_terms`."""
-    return u_stat_variance(*_diff_zeta(term), m)
-
-
-def population_mmd2_var(mom: PopulationMoments, m: int) -> float:
-    """True Var[mmd2_u(X, Y)] at sample size m."""
-    return mmd2_var_from_terms(mom.term, m)
-
-
-def population_diff_var(mom: PopulationMoments, m: int) -> float:
-    """True Var[mmd2_u(X, Y) - mmd2_u(X, Z)] at sample size m."""
-    return diff_var_from_terms(mom.term, m)
+def _truths(mom: PopulationMoments) -> Terms:
+    return lambda family, a, b: _FAMILIES[family][1](mom, a, b)
 
 
 def mmd2_var_components(mom: PopulationMoments) -> tuple[float, float]:
     """First- and second-order variance components of the two-sample pair
     kernel h(U1, U2): the variance of E[h | U1] and the total variance of h."""
-    return _mmd2_zeta(mom.term)
+    return mmd2_zeta(_truths(mom))
 
 
 def diff_var_components(mom: PopulationMoments) -> tuple[float, float]:
     """Variance components of the three-sample difference pair kernel."""
-    return _diff_zeta(mom.term)
+    return diff_zeta(_truths(mom))
+
+
+def population_mmd2_var(mom: PopulationMoments, m: int) -> float:
+    """True Var[mmd2_u(X, Y)] at sample size m."""
+    return u_stat_variance(*mmd2_var_components(mom), m)
+
+
+def population_diff_var(mom: PopulationMoments, m: int) -> float:
+    """True Var[mmd2_u(X, Y) - mmd2_u(X, Z)] at sample size m."""
+    return u_stat_variance(*diff_var_components(mom), m)
 
 
 # ---------------------------------------------------------------------------
@@ -250,29 +201,24 @@ class Target(NamedTuple):
     truth: Callable[[PopulationMoments, int | None], float]  # population value at m
 
 
-#: Term families: (estimator, pattern, population value), each taking a row's
-#: populations (a, b).  "own" products pair a with a and b; "shared" ones X with a and b.
+#: Term families: (pattern, population value), each taking a row's
+#: populations (a, b); :data:`mmdvar.estimators.FAMILIES` holds the estimators.
 _FAMILIES = {
-    "mu": (mu_dot, _pattern("a0b1"), lambda mom, a, b: mom.mu[a, b]),
-    "mu_sq": (mu_dot_sq, _pattern("a0b1 a2b3"),
-              lambda mom, a, b: mom.mu[a, b] * mom.mu[a, b]),
-    "prod_own": (mu_dot_prod_own, _pattern("a0a1 a2b3"),
-                 lambda mom, a, b: mom.mu[a, a] * mom.mu[a, b]),
-    "prod_shared": (mu_dot_prod_shared, _pattern("x0a1 x2b3"),
-                    lambda mom, a, b: mom.mu["x", a] * mom.mu["x", b]),
-    "ephi2": (phi_mu_sq, _pattern("a0b1 a0b2"), lambda mom, a, b: mom.phi_sq[a, b]),
-    "ephi_own": (phi_mu_prod_own, _pattern("a0a1 a0b2"),
-                 lambda mom, a, b: mom.phi_prod[a, a, b]),
-    "ephi_shared": (phi_mu_prod_shared, _pattern("x0a1 x0b2"),
-                    lambda mom, a, b: mom.phi_prod["x", a, b]),
-    "ek2": (k2_mean, _pattern("a0b1 a0b1"), lambda mom, a, b: mom.k2[a, b]),
+    "mu": (_pattern("a0b1"), lambda mom, a, b: mom.mu[a, b]),
+    "mu_sq": (_pattern("a0b1 a2b3"), lambda mom, a, b: mom.mu[a, b] * mom.mu[a, b]),
+    "prod_own": (_pattern("a0a1 a2b3"), lambda mom, a, b: mom.mu[a, a] * mom.mu[a, b]),
+    "prod_shared": (_pattern("x0a1 x2b3"), lambda mom, a, b: mom.mu["x", a] * mom.mu["x", b]),
+    "ephi2": (_pattern("a0b1 a0b2"), lambda mom, a, b: mom.phi_sq[a, b]),
+    "ephi_own": (_pattern("a0a1 a0b2"), lambda mom, a, b: mom.phi_prod[a, a, b]),
+    "ephi_shared": (_pattern("x0a1 x0b2"), lambda mom, a, b: mom.phi_prod["x", a, b]),
+    "ek2": (_pattern("a0b1 a0b1"), lambda mom, a, b: mom.k2[a, b]),
 }
 
 
 def _term(family: str, a: str, b: str) -> Target:
     """A sub-term's row; its minimum m is the most distinct points its pattern
     draws from one population, and at least 2."""
-    estimate, pattern, truth = _FAMILIES[family]
+    estimate, (pattern, truth) = FAMILIES[family], _FAMILIES[family]
     min_m = max(2, *map(len, _groups(pattern, a, b).values()))
     return Target(lambda g: estimate(g, a, b), min_m, "z" in (a, b),
                   lambda g: _enumerate(g, pattern, a, b), lambda mom, m: truth(mom, a, b))
@@ -371,6 +317,13 @@ def oracle_term(g: GramPack, term_id: str) -> float:
     the ground truth the matrix estimators are checked against."""
     _guard(g)
     return check_target(term_id, g.m, g.has_z, sub_term=True).loop(g)
+
+
+def enumerated_terms(g: GramPack) -> Terms:
+    """Every sub-term's pattern enumerated on one pack, keyed as the variance
+    parts of :mod:`mmdvar.estimators` read them."""
+    _guard(g)
+    return lambda family, a, b: _enumerate(g, _FAMILIES[family][0], a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,15 @@ from mmdvar.montecarlo import McConfig, run_unbiasedness, run_variance_tracking
 from mmdvar.oracle import (
     THREE_SAMPLE_TERM_IDS,
     GaussianLinearModel,
-    diff_var_from_terms,
     gaussian_linear_moments,
     mc_variance_components,
     mmd2_var_components,
-    mmd2_var_from_terms,
     oracle_term,
     sub_term_estimates,
 )
 
 from conftest import make_xyz, rel_close
+from test_exact_variance import merged_terms
 
 M_GRID = (4, 5, 6, 7, 8)
 N_DATASETS = 50
@@ -76,8 +75,9 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_assembly_identity():
-    """The merged variance estimators equal the explicit assembly of the
-    sub-term estimates through the population variance expressions."""
+    """The variance estimators, Hoeffding's formula over the sub-term
+    estimates, equal the merged-coefficient formulas evaluated exactly over
+    the same pack's aggregates."""
     rng = np.random.default_rng(SEED + 1)
     failures = []
     for m in M_GRID:
@@ -85,17 +85,15 @@ def test_criterion_2_assembly_identity():
             for _ in range(N_DATASETS):
                 x, y, z = make_xyz(rng, m)
                 g = build_gram_pack(x, y, z, spec=spec)
-                est = sub_term_estimates(g)
+                v_merged, nu_merged = (float(sum(terms)) for terms in merged_terms(g))
                 v = mv.mmd2_var(g)
-                v_asm = mmd2_var_from_terms(est.__getitem__, m)
-                if not rel_close(v, v_asm, rtol=1e-10):
-                    failures.append(("mmd2_var", m, kname, v, v_asm))
+                if not rel_close(v, v_merged, rtol=1e-10):
+                    failures.append(("mmd2_var", m, kname, v, v_merged))
                 nu = mv.mmd2_diff_var(g)
-                nu_asm = diff_var_from_terms(est.__getitem__, m)
-                if not rel_close(nu, nu_asm, rtol=1e-10):
-                    failures.append(("mmd2_diff_var", m, kname, nu, nu_asm))
+                if not rel_close(nu, nu_merged, rtol=1e-10):
+                    failures.append(("mmd2_diff_var", m, kname, nu, nu_merged))
     ok = not failures
-    _verdict(2, "variance estimators equal their sub-term assembly", ok)
+    _verdict(2, "variance estimators equal the merged formulas", ok)
     assert not failures, failures[:5]
 
 

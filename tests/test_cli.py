@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from mmdvar.cli import (
     load_csv,
     main,
 )
+
+from test_exact_variance import EPS, exact_stats, var_terms
 
 
 def write(tmp_path, name, text):
@@ -161,7 +165,6 @@ class TestCmdMmd:
     @pytest.mark.parametrize("value,flags,message", [
         (1e200, ("--kernel", "poly", "--degree", "3"), "kernel matrix is not finite"),
         (1e75, (), "vhat is not finite"),  # squared grand sum overflows
-        (1e74, (), "vhat is not finite"),  # variance estimate overflows to inf
     ])
     def test_overflow_exits_3_without_output(self, capsys, tmp_path, value, flags, message):
         x = write(tmp_path, "x.csv", "\n".join(repr(value * (1 + i % 7)) for i in range(100)))
@@ -171,6 +174,23 @@ class TestCmdMmd:
                 code, out, err = run_cli(capsys, "mmd", x, y, *flags, "--format", fmt)
             assert code == EXIT_PRECONDITION and out == ""
             assert message in err
+
+    def test_variance_near_overflow_matches_exact_rationals(self, capsys, tmp_path):
+        """At 1e74 vhat is near 1e297, and no step on the way to it overflows:
+        it lies within 8 eps S of its exact value (``test_exact_variance``)."""
+        xs = [1e74 * (1 + i % 7) for i in range(100)]
+        ys = [-1e74 * (i % 5) for i in range(100)]
+        x = write(tmp_path, "x.csv", "\n".join(map(repr, xs)))
+        y = write(tmp_path, "y.csv", "\n".join(map(repr, ys)))
+        code, out, _ = run_cli(capsys, "mmd", x, y)
+        assert code == EXIT_OK
+        # every value is an integer: divided by their gcd they fit in int64, and
+        # each term of the linear kernel's variance is of degree 4 in the data
+        unit = math.gcd(*map(int, xs + ys))
+        xn, yn = (np.array([[int(v) // unit] for v in vs]) for vs in (xs, ys))
+        terms = [t * unit ** 4 for t in var_terms(exact_stats({"x": xn, "y": yn, "z": xn}), 100)]
+        scale = EPS * sum(abs(t) for t in terms)
+        assert abs(Fraction(json.loads(out)["vhat"]) - sum(terms)) <= 8 * scale
 
     def test_bad_kernel_flags(self, capsys, csv4):
         code, _, err = run_cli(capsys, "mmd", csv4["x"], csv4["y"],
@@ -331,10 +351,10 @@ class TestCmdVerify:
 
     def test_overflowing_run_exits_2_naming_the_target(self, capsys):
         """Every replicate rounds to the same samples near 1e76, so the
-        standard error is 0 and no z-score is finite; at a spread of 1e76 the
+        standard error is 0 and no z-score is finite; at a spread of 2e76 the
         variance estimates overflow."""
         for extra, message in (((), "target 'mmd2_var': z-score is not finite"),
-                               (("--var-x", "1e152", "--var-y", "1e152"),
+                               (("--var-x", "4e152", "--var-y", "4e152"),
                                 "target 'mmd2_var': replicate mean is not finite")):
             code, out, err = run_cli(capsys, "verify", "--replicates", "1000", "--m", "4",
                                      "--mean-x", "1e76", "--mean-y", "1e76", *extra)

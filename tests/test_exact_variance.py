@@ -1,14 +1,20 @@
 """Exact-rational oracle for the two variance estimators at large m.
 
-Under the linear kernel every aggregate the estimators read is a polynomial
-in the data, so for integer samples it is an integer, computed here in
-Python integers from the samples alone; the float aggregates of the pack are
-never read.  The merged formulas of ``mmd2_var`` (8 terms) and
-``mmd2_diff_var`` (10 terms) are evaluated over them in ``Fraction``, and the
-float64 estimate must lie within 8 eps S of the exact value, eps = 2**-52
-and S the sum of the absolute values of the terms.  The bound scales with S,
-not with the value, because the terms cancel: shifting the data by +30
-leaves both estimates unchanged in exact arithmetic but makes S far larger.
+The estimators evaluate Hoeffding's variance over their sub-term estimates;
+this module holds the reference they are checked against: the same
+variances merged into one coefficient per aggregate, ``mmd2_var`` in 8
+terms and ``mmd2_diff_var`` in 10, evaluated in ``Fraction``.  The float64
+estimate must lie within 8 eps S of the exact value, eps = 2**-52 and S the
+sum of the absolute values of the terms.  The bound scales with S, not with
+the value, because the terms cancel: shifting the data by +30 leaves both
+estimates unchanged in exact arithmetic but makes S far larger.
+
+Two sets of aggregates feed the merged terms.  Under the linear kernel every
+aggregate is a polynomial in the data, so for integer samples it is an
+integer, computed here in Python integers from the samples alone; the float
+aggregates of the pack are never read.  For every kernel, the pack's own
+float aggregates, each converted exactly to a ``Fraction``, isolate the
+estimators' arithmetic from the accumulation of the aggregates.
 """
 
 import math
@@ -18,6 +24,8 @@ import numpy as np
 import pytest
 
 from mmdvar import KernelSpec, build_gram_pack, mmd2_diff_var, mmd2_var
+
+from conftest import KERNEL_CASES, make_xyz
 
 EPS = Fraction(1, 2 ** 52)
 PAIRS = ("xx", "yy", "zz", "xy", "yx", "xz", "zx")
@@ -93,15 +101,31 @@ def diff_var_terms(st, m: int) -> list[Fraction]:
     ]
 
 
-def error_ratios(samples: dict[str, np.ndarray]) -> tuple[float, float]:
-    """|float - exact| / (eps S) for mmd2_var and mmd2_diff_var on integer samples."""
-    g = build_gram_pack(samples["x"], samples["y"], samples["z"], KernelSpec.linear())
-    st, m = exact_stats(samples), g.m
-    ratios = []
+def pack_stats(g) -> dict[str, tuple[list[Fraction], Fraction, Fraction]]:
+    """Row sums, total and squared Frobenius norm of each of the pack's
+    kernel matrices, its float aggregates converted exactly to Fraction."""
+    return {ab: ([Fraction(r) for r in s.row_sums.tolist()], Fraction(float(s.total)),
+                 Fraction(float(s.frob_sq))) for ab, s in g.stats.items()}
+
+
+def merged_terms(g) -> tuple[list[Fraction], list[Fraction]]:
+    """The merged terms of both variance estimates over the pack's own aggregates."""
+    st = pack_stats(g)
+    return var_terms(st, g.m), diff_var_terms(st, g.m)
+
+
+def _ratios(g, st) -> tuple[float, float]:
+    m, ratios = g.m, []
     for got, terms in ((mmd2_var(g), var_terms(st, m)), (mmd2_diff_var(g), diff_var_terms(st, m))):
         scale = EPS * sum(abs(t) for t in terms)
         ratios.append(float(abs(Fraction(float(got)) - sum(terms)) / scale))
     return ratios[0], ratios[1]
+
+
+def error_ratios(samples: dict[str, np.ndarray]) -> tuple[float, float]:
+    """|float - exact| / (eps S) for mmd2_var and mmd2_diff_var on integer samples."""
+    g = build_gram_pack(samples["x"], samples["y"], samples["z"], KernelSpec.linear())
+    return _ratios(g, exact_stats(samples))
 
 
 def integer_samples(rng, m: int, d: int, lo: int, hi: int, shift: int):
@@ -128,3 +152,14 @@ def test_variance_estimates_match_exact_rationals_small_m(seed):
         var_ratio, diff_ratio = error_ratios(integer_samples(rng, m, d, -hi, hi, shift))
         assert var_ratio <= 8.0, (m, d, hi, shift)
         assert diff_ratio <= 8.0, (m, d, hi, shift)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 50, 500])
+@pytest.mark.parametrize("kernel", list(KERNEL_CASES))
+def test_variance_estimates_match_exact_rationals_over_the_packs_aggregates(m, kernel):
+    rng = np.random.default_rng([m, len(kernel)])
+    x, y, z = make_xyz(rng, m)
+    g = build_gram_pack(x, y, z, spec=KERNEL_CASES[kernel])
+    var_ratio, diff_ratio = _ratios(g, pack_stats(g))
+    assert var_ratio <= 8.0
+    assert diff_ratio <= 8.0

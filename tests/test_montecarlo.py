@@ -263,10 +263,10 @@ class TestOutputTypes:
 
 
 class TestNonFiniteReplicates:
-    @pytest.mark.parametrize("var,what", [(1e152, "replicate mean"), (1e150, "standard error")])
+    @pytest.mark.parametrize("var,what", [(4e152, "replicate mean"), (1e150, "standard error")])
     def test_overflowing_estimates_name_the_target(self, var, what):
         """Finite kernel matrices whose variance estimates overflow float64
-        (at 1e152), or whose spread does when squared (at 1e150)."""
+        (at 4e152), or whose spread does when squared (at 1e150)."""
         model = GaussianLinearModel(1e76, var, 1e76, var)
         cfg = McConfig(model=model, m=4, replicates=1000, seed=0, targets=("mmd2", "mmd2_var"))
         with np.errstate(over="ignore", invalid="ignore"):

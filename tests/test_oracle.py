@@ -9,7 +9,6 @@ from mmdvar.oracle import (
     THREE_SAMPLE_TERM_IDS,
     ComponentEstimates,
     GaussianLinearModel,
-    diff_var_components,
     gaussian_linear_moments,
     mc_variance_components,
     mmd2_var_components,
@@ -18,7 +17,6 @@ from mmdvar.oracle import (
     population_diff_var,
     population_mmd2,
     population_mmd2_var,
-    u_stat_variance,
 )
 
 from conftest import make_xyz
@@ -181,30 +179,6 @@ def mom_mean(model, pop):
 
 
 class TestPopulationVariance:
-    def test_component_assembly_identity(self, rng):
-        """The final variance expression equals the component assembly for
-        every valid set of moments; checks the transcription consistency."""
-        for _ in range(20):
-            means = rng.normal(size=3) * 2
-            variances = rng.uniform(0.1, 4.0, size=3)
-            model = GaussianLinearModel(means[0], variances[0], means[1],
-                                        variances[1], means[2], variances[2])
-            mom = gaussian_linear_moments(model)
-            z1, z2 = mmd2_var_components(mom)
-            x1, x2 = diff_var_components(mom)
-            for m in (2, 3, 4, 7, 20):
-                direct = population_mmd2_var(mom, m)
-                assembled = u_stat_variance(z1, z2, m)
-                assert direct == pytest.approx(assembled, rel=1e-12, abs=1e-14)
-                direct_d = population_diff_var(mom, m)
-                assembled_d = u_stat_variance(x1, x2, m)
-                assert direct_d == pytest.approx(assembled_d, rel=1e-12, abs=1e-14)
-
-    def test_m2_reduces_to_second_component(self):
-        mom = gaussian_linear_moments(GaussianLinearModel(0.1, 1.0, 0.4, 2.0))
-        _, z2 = mmd2_var_components(mom)
-        assert population_mmd2_var(mom, 2) == pytest.approx(z2, rel=1e-12)
-
     def test_point_mass_variance_is_zero(self):
         # deterministic samples: every expectation is a product of means
         from mmdvar.oracle import PopulationMoments

@@ -9,11 +9,11 @@ import pytest
 
 import mmdvar as mv
 from mmdvar import build_gram_pack
-from mmdvar.oracle import (
-    diff_var_from_terms, mmd2_var_from_terms, oracle_term, sub_term_estimates,
-)
+from mmdvar.estimators import diff_zeta, mmd2_zeta, u_stat_variance
+from mmdvar.oracle import enumerated_terms, oracle_term, sub_term_estimates
 
 from conftest import KERNEL_CASES, make_xyz, rel_close
+from test_exact_variance import merged_terms
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
@@ -32,25 +32,24 @@ def test_every_term_matches_its_loop_twin(m, kernel):
 @pytest.mark.parametrize("m", [4, 6, 8])
 @pytest.mark.parametrize("kernel", list(KERNEL_CASES))
 def test_variance_estimators_match_their_assemblies(m, kernel):
+    # the formula over the sub-term estimates equals the merged-coefficient
+    # reference, evaluated exactly over the same pack's aggregates
     rng = np.random.default_rng(7000 + m)
     for _ in range(3):
         x, y, z = make_xyz(rng, m)
         g = build_gram_pack(x, y, z, spec=KERNEL_CASES[kernel])
-        est = sub_term_estimates(g)
-        assembled_v = mmd2_var_from_terms(est.__getitem__, m)
-        assert rel_close(mv.mmd2_var(g), assembled_v, rtol=1e-10)
-        assembled_nu = diff_var_from_terms(est.__getitem__, m)
-        assert rel_close(mv.mmd2_diff_var(g), assembled_nu, rtol=1e-10)
+        merged_v, merged_nu = (float(sum(terms)) for terms in merged_terms(g))
+        assert rel_close(mv.mmd2_var(g), merged_v, rtol=1e-10)
+        assert rel_close(mv.mmd2_diff_var(g), merged_nu, rtol=1e-10)
 
 
 def test_variance_estimators_match_oracle_assembly():
-    # loop-oracle sub-terms, assembled by the population formula, equal the
-    # single-pass merged estimators: checks the coefficient merge end to end
+    # loop-oracle sub-terms, assembled by the variance formula, equal the
+    # estimators: checks the sub-term estimators inside the formula end to end
     rng = np.random.default_rng(31)
     for m in (4, 6):
         x, y, z = make_xyz(rng, m)
         g = build_gram_pack(x, y, z, spec=KERNEL_CASES["poly2"])
-        assembled_v = mmd2_var_from_terms(lambda t: oracle_term(g, t), m)
-        assert rel_close(mv.mmd2_var(g), assembled_v, rtol=1e-10)
-        assembled_nu = diff_var_from_terms(lambda t: oracle_term(g, t), m)
-        assert rel_close(mv.mmd2_diff_var(g), assembled_nu, rtol=1e-10)
+        t = enumerated_terms(g)
+        assert rel_close(mv.mmd2_var(g), u_stat_variance(*mmd2_zeta(t), m), rtol=1e-10)
+        assert rel_close(mv.mmd2_diff_var(g), u_stat_variance(*diff_zeta(t), m), rtol=1e-10)
