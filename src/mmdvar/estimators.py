@@ -25,11 +25,12 @@ All estimators are O(m) reductions over the aggregates cached in a
 :class:`~mmdvar.kernels.GramPack`, so the total cost including the Gram
 aggregates is O(m^2) time and O(m B) memory, B the block of rows those
 aggregates are accumulated over.  They are written over arrays: on a pack
-of stacked replicates each gives an array of estimates, bit for bit what
-each replicate's own pack gives as a NumPy scalar.  Variance estimates
-are genuinely unbiased and may therefore be negative; callers that need a
-nonnegative number (e.g. for studentisation) should use the floored
-copies provided by :func:`full_report`, whose fields are Python floats.
+whose aggregates stack R replicates, which the Monte Carlo harness builds
+in closed form, each gives R estimates, and no estimate depends on how
+many replicates are stacked.  Variance estimates are genuinely unbiased
+and may therefore be negative; callers that need a nonnegative number
+(e.g. for studentisation) should use the floored copies provided by
+:func:`full_report`, whose fields are Python floats.
 """
 
 from __future__ import annotations
@@ -263,13 +264,10 @@ class EstimateReport:
 def full_report(g: GramPack, floor_epsilon: float = 1e-12) -> EstimateReport:
     """Compute every headline estimate for the pack in one call.
 
-    Takes one dataset, not a stack of replicates.  Raises ValueError
-    naming the first estimate that is not finite.
+    Raises ValueError naming the first estimate that is not finite.
     """
     if not 0.0 < floor_epsilon < math.inf:
         raise ValueError("floor_epsilon must be positive and finite")
-    if g.samples["x"].ndim != 2:
-        raise ValueError("full_report takes one dataset, not a stack of replicates")
     rep = {"mmd2_xy": mmd2_u(g, "xy"), "vhat": mmd2_var(g)}
     rep["vhat_floored"] = max(rep["vhat"], floor_epsilon)
     if g.has_z:

@@ -8,18 +8,16 @@ matrix.  These and the median bandwidth are accumulated over blocks of
 rows, never holding an m x m matrix: O(m^2) time, O(m * _BLOCK) memory.
 Estimators are O(m) reductions over them.
 
-Samples stacked along a leading replicate axis, (R, m, d) arrays, give a
-pack whose aggregates are stacked along it too, each bit for bit what that
-replicate alone gives; the Monte Carlo harness evaluates its replicates
-this way.  Stacks take every kernel but the RBF one, whose distances and
-median bandwidth are computed one sample at a time.  Only those distances
-load scipy: :func:`cdist` and :func:`pdist` import it on their first call.
+Every function here takes one dataset, an m x d matrix per sample;
+:func:`build_gram_pack` and :func:`median_heuristic` refuse a stack of
+replicates.  Only the RBF distances load scipy: :func:`cdist` and
+:func:`pdist` import it on their first call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -140,22 +138,21 @@ def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense kernel matrix K[i, j] = k(a_i, b_j) (diagonal untouched), as a
-    new C-contiguous array; stacks of samples (R, n, d) give a stack of
-    matrices, except under the RBF kernel."""
+    new C-contiguous array."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if spec.kind == "linear":
-        return a @ np.swapaxes(b, -1, -2)
+        return a @ b.T
     if spec.kind == "rbf":
         sigma = _resolved_sigma(spec)
         d = cdist(a, b, "sqeuclidean")
         d *= -1.0 / (2.0 * sigma * sigma)
         return np.exp(d, out=d)
     if spec.kind == "polynomial":
-        return (a @ np.swapaxes(b, -1, -2) + spec.coef0) ** spec.degree
-    return np.full((*a.shape[:-1], b.shape[-2]), float(spec.value))
+        return (a @ b.T + spec.coef0) ** spec.degree
+    return np.full((a.shape[0], b.shape[0]), float(spec.value))
 
 
 #: Rows per block: a pass over a kernel matrix or over the pooled pairwise
@@ -291,8 +288,6 @@ def median_heuristic(pooled: np.ndarray) -> float:
     kernel when the spec carries the ``"median"`` sentinel.
     """
     pooled = _as_sample(pooled, "pooled")
-    if pooled.ndim != 2:
-        raise ValueError("median heuristic takes one dataset, not a stack of replicates")
     if pooled.shape[0] < 2:
         raise ValueError("median heuristic needs at least 2 rows")
     return _median_distance_from_sq(pooled)
@@ -307,9 +302,9 @@ def resolve_bandwidth(spec: KernelSpec, pooled: np.ndarray) -> KernelSpec:
 
 @dataclass(frozen=True)
 class GramStats:
-    """Cached aggregates of one kernel matrix, or of a stack of them: then
-    the row sums are (R, m) arrays and the scalars (R,) arrays (a trace known
-    to be 0 stays a scalar)."""
+    """Cached aggregates of one kernel matrix.  The Monte Carlo harness
+    stacks R replicates' aggregates: (R, m) row sums and (R,) scalars (a
+    trace known to be 0 stays a scalar)."""
 
     row_sums: np.ndarray  # K 1
     total: float      # grand sum 1' K 1
@@ -317,52 +312,38 @@ class GramStats:
     trace: float
 
 
-def _sum_sq(k: np.ndarray):
-    """Sum of squares of a matrix, or of each matrix of a stack, bit for bit
-    what ``np.einsum("ij,ij->", k, k)`` gives for the matrix alone.
-
-    einsum sums a contiguous matrix in runs of ``np.getbufsize()`` values,
-    but a stack of larger matrices in other runs; those are summed one by one.
-    """
-    if k.ndim == 3 and k.shape[1] * k.shape[2] > np.getbufsize():
-        return np.array([np.einsum("ij,ij->", one, one) for one in k])
-    return np.einsum("...ij,...ij->...", k, k)
-
-
 def _stats(spec: KernelSpec, a: np.ndarray, b: np.ndarray,
            within: bool) -> tuple[GramStats, GramStats]:
     """Aggregates of K[i, j] = k(a_i, b_j) and of its transpose, for samples
-    of equal size m, accumulated over blocks of at most ``_BLOCK`` rows;
-    stacked samples give stacked aggregates, each summed in the order of a
-    lone sample's.  The transpose's row sums are K's column sums.
+    of equal size m, accumulated over blocks of at most ``_BLOCK`` rows.
+    The transpose's row sums are K's column sums.
 
     ``within`` means b is a: the diagonal is zeroed and only the upper
     triangle is evaluated, each block from its own diagonal rightwards; the
     part right of the block's square stands in for its transpose below it.
     """
-    lead, m = a.shape[:-2], a.shape[-2]
-    row_sums = np.zeros((*lead, m))
+    m = a.shape[0]
+    row_sums = np.zeros(m)
     col_sums = None
     frob_sq = trace = 0.0
     for i0 in range(0, m, _BLOCK):
-        k = kernel_matrix(spec, a[..., i0:i0 + _BLOCK, :], b[..., i0:, :] if within else b)
-        n, width = k.shape[-2:]
-        # a view: k is C-contiguous
-        diag = k.reshape(*lead, -1)[..., (0 if within else i0)::width + 1]
+        k = kernel_matrix(spec, a[i0:i0 + _BLOCK], b[i0:] if within else b)
+        n, width = k.shape
+        diag = k.reshape(-1)[(0 if within else i0)::width + 1]  # a view: k is C-contiguous
         if within:
-            diag[...] = 0.0
+            diag[:] = 0.0
         else:
-            trace = trace + diag.sum(axis=-1)
-            part = k.sum(axis=-2)
+            trace = trace + diag.sum()
+            part = k.sum(axis=0)
             col_sums = part if col_sums is None else np.add(col_sums, part, out=col_sums)
-        row_sums[..., i0:i0 + n] += k.sum(axis=-1)
-        frob_sq = frob_sq + _sum_sq(k)
+        row_sums[i0:i0 + n] += k.sum(axis=1)
+        frob_sq = frob_sq + np.einsum("ij,ij->", k, k)
         if within and n < width:  # right of the block's square: its transpose lies below
-            right = k[..., n:]
-            row_sums[..., i0 + n:] += right.sum(axis=-2)
-            frob_sq = frob_sq + _sum_sq(right)
-    total = row_sums.sum(axis=-1)
-    if not (np.isfinite(total).all() and np.isfinite(frob_sq).all()):
+            right = k[:, n:]
+            row_sums[i0 + n:] += right.sum(axis=0)
+            frob_sq = frob_sq + np.einsum("ij,ij->", right, right)
+    total = row_sums.sum()
+    if not (np.isfinite(total) and np.isfinite(frob_sq)):
         raise ValueError("kernel matrix is not finite (non-finite input or overflow)")
     col_sums = row_sums if within else col_sums
     row_sums.setflags(write=False)
@@ -381,9 +362,9 @@ class GramPack:
     K_XY, whose row sums are K_XY's column sums.  The within-sample
     aggregates are those of the matrix with its diagonal zeroed, so any full
     sum over it is a sum over distinct index pairs.  No m x m matrix is
-    stored: :meth:`matrix` recomputes one on demand.  Samples and aggregates
-    are read-only; the pack is safe for concurrent use.  A pack of stacked
-    samples holds R replicates of size m at once.
+    stored, but for the oracles' copies at m <= 30: :meth:`matrix`
+    recomputes one on demand.  Samples and aggregates are read-only; the
+    pack is safe for concurrent use.
     """
 
     m: int
@@ -391,6 +372,9 @@ class GramPack:
     spec: KernelSpec
     samples: dict[str, np.ndarray]
     stats: dict[str, GramStats]
+    #: The oracles' nested-list copies of :meth:`matrix`, each made at most
+    #: once per pack (:mod:`mmdvar.oracle`).
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def has_z(self) -> bool:
@@ -417,17 +401,19 @@ class GramPack:
             return self.matrix(b, a).T
         k = kernel_matrix(self.spec, self.samples[a], self.samples[b])
         if a == b:
-            k[..., range(self.m), range(self.m)] = 0.0
+            np.fill_diagonal(k, 0.0)
         return k
 
 
 def _as_sample(arr: np.ndarray, name: str) -> np.ndarray:
-    """A read-only float64 copy of ``arr`` as an m x d matrix, or an R x m x d stack."""
+    """A read-only float64 copy of ``arr`` as an m x d matrix: the one check
+    that refuses a stack of replicates."""
     out = np.array(arr, dtype=np.float64)
     if out.ndim == 1:
         out = out.reshape(-1, 1)
-    if out.ndim not in (2, 3):
-        raise ValueError(f"{name} must be an m x d matrix or a stack of them, got ndim={out.ndim}")
+    if out.ndim != 2:
+        raise ValueError(f"{name} must be an m x d matrix, one dataset, not a stack of "
+                         f"replicates; got ndim={out.ndim}")
     out.setflags(write=False)
     return out
 
@@ -446,26 +432,21 @@ def build_gram_pack(
     """Compute the aggregates of every kernel matrix for samples of equal size.
 
     All samples must share the same number of rows m >= 2 and the same
-    dimension.  1-d inputs are treated as single-column samples; R x m x d
-    inputs are stacks of R replicates, giving stacked aggregates.  An RBF
+    dimension.  1-d inputs are treated as single-column samples.  An RBF
     'median' bandwidth is resolved against the pooled rows of every sample
-    provided.  O(m^2) time, O(m * _BLOCK) memory per replicate.
+    provided.  O(m^2) time, O(m * _BLOCK) memory.
     """
     samples = {"x": _as_sample(x, "x"), "y": _as_sample(y, "y")}
     if z is not None:
         samples["z"] = _as_sample(z, "z")
-    lead, (m, d) = samples["x"].shape[:-2], samples["x"].shape[-2:]
+    m, d = samples["x"].shape
     for name, s in samples.items():
-        if s.shape[:-2] != lead:
-            raise ValueError(f"stacks differ: x has shape {samples['x'].shape}, {name} {s.shape}")
-        if s.shape[-2] != m:
-            raise ValueError(f"sample sizes differ: x has {m} rows, {name} has {s.shape[-2]}")
-        if s.shape[-1] != d:
-            raise ValueError(f"dimensions differ: x has d={d}, {name} has d={s.shape[-1]}")
+        if s.shape[0] != m:
+            raise ValueError(f"sample sizes differ: x has {m} rows, {name} has {s.shape[0]}")
+        if s.shape[1] != d:
+            raise ValueError(f"dimensions differ: x has d={d}, {name} has d={s.shape[1]}")
     if m < 2:
         raise ValueError("need at least m = 2 observations per sample")
-    if lead and spec.kind == "rbf":
-        raise ValueError("the rbf kernel takes one sample at a time, not a stack")
 
     if spec.kind == "rbf":
         spec = resolve_bandwidth(spec, np.concatenate(list(samples.values())))

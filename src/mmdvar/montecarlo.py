@@ -15,17 +15,18 @@ sample; Gaussians come from the inverse-CDF sampler in
 making reports bit-identical for identical configs.
 
 Replicates are evaluated in chunks, stacked: each replicate of a chunk
-draws its samples in one call on its own stream, the chunk's draws are
-mapped to Gaussians population by population, one Gram pack holds the
-whole chunk, and each target's estimator runs once on it.  Every value is
-bit for bit what the replicate's own pack gives.  A chunk holds
-max(1, _CHUNK_ENTRIES // m^2) replicates, so its kernel blocks stay near
-2 MiB.  At m = 8 with three samples and all 35 targets a replicate costs
-about 47 us on a 2-vCPU VM: 25 us construct its Philox generator, the
-draw and the stacked Gaussian map most of the rest, and the Gram pack and
-every estimator together about 6 us.  ``mmdvar verify`` with a z model
-and both passes takes about 9.5 s at 10^5 replicates and 90 s at 10^6
-(peak RSS 110 MB; each pass keeps 8 bytes per replicate and target).
+draws its samples in one call on its own stream, and the chunk's draws are
+mapped to Gaussians population by population.  Under k(x, y) = xy every
+kernel matrix is rank one, so the aggregates the estimators read have
+closed forms, O(m) per replicate (:func:`_rank_one_stats`); each target's
+estimator runs once on the chunk's.  No value depends on the chunking, and
+each aggregate is within rounding of the replicate's own Gram pack.  On a
+2-vCPU VM, at m = 8 with three samples and all 35 targets a replicate
+costs about 21 us: 12 us construct its Philox generator, 7 us draw and map
+its samples.  ``mmdvar verify`` with a z model and both passes takes
+about 4 s at m = 8, 12 s at m = 200 and 39 s at m = 1000, at 10^5
+replicates (peak RSS about 60 MB; a pass keeps 8 bytes per replicate and
+target).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, build_gram_pack
+from .kernels import GramPack, GramStats, KernelSpec
 from .oracle import (
     TARGETS, GaussianLinearModel, Target, check_target, gaussian_draw, gaussian_from_ints,
     gaussian_linear_moments,
@@ -45,9 +46,10 @@ _LINEAR = KernelSpec.linear()
 
 MIN_REPLICATES = 1_000
 
-#: Most kernel-matrix entries one chunk of stacked replicates holds per
-#: matrix block (2 MiB of float64); a chunk has max(1, this // m^2) replicates.
-_CHUNK_ENTRIES = 1 << 18
+#: Most values one chunk of stacked replicates holds per sample (128 KiB of
+#: float64, so the chunk's arrays stay in cache); a chunk has
+#: max(1, this // m) replicates.
+_CHUNK_ENTRIES = 1 << 14
 
 
 def target_ids(with_z: bool) -> tuple[str, ...]:
@@ -162,6 +164,36 @@ def _entry(target: str, mean: float, se: float, truth: float, threshold: float,
     return McEntry(mean=mean, se=se, truth=truth, z=z, passed=abs(z) <= threshold)
 
 
+def _sum_of_others(a: np.ndarray) -> np.ndarray:
+    """sum_{j != i} a[r, j] at each (r, i), as the sum before i plus the sum
+    after it: subtracting a[r, i] from the row's sum would cancel when it
+    dominates the row."""
+    out = np.zeros_like(a)
+    np.cumsum(a[:, :-1], axis=1, out=out[:, 1:])
+    out[:, :-1] += np.cumsum(a[:, :0:-1], axis=1)[:, ::-1]
+    return out
+
+
+def _rank_one_stats(samples: dict[str, np.ndarray]) -> dict[str, GramStats]:
+    """The stacked aggregates of every kernel matrix under k(x, y) = xy, from
+    (R, m) scalar samples in O(R m): K_ab = a b' is rank one.  K_xb has row
+    sums x_i sum(b), grand sum sum(x) sum(b), squared Frobenius norm
+    (x.x)(b.b) and trace x.b, and K_bx row sums b_i sum(x).  K_aa, its
+    diagonal zeroed, has row sums a_i sum_{j != i} a_j, their sum as grand
+    sum, squared norm sum_i a_i^2 sum_{j != i} a_j^2 and trace 0."""
+    x, sums = samples["x"], {p: a.sum(axis=1) for p, a in samples.items()}
+    sq = {p: a * a for p, a in samples.items()}
+    stats = {}
+    for p, a in samples.items():
+        rows, frob_sq = a * _sum_of_others(a), np.vecdot(sq[p], _sum_of_others(sq[p]))
+        stats[p + p] = GramStats(rows, rows.sum(axis=1), frob_sq, 0.0)
+        if p != "x":
+            shared = sums["x"] * sums[p], sq["x"].sum(axis=1) * sq[p].sum(axis=1), np.vecdot(x, a)
+            stats["x" + p] = GramStats(x * sums[p][:, None], *shared)
+            stats[p + "x"] = GramStats(a * sums["x"][:, None], *shared)
+    return stats
+
+
 def _replicate_values(config: McConfig, targets: tuple[str, ...],
                       with_z: bool) -> dict[str, np.ndarray]:
     """Every target's value on every replicate, over chunks of stacked replicates.
@@ -171,14 +203,15 @@ def _replicate_values(config: McConfig, targets: tuple[str, ...],
     """
     fns = [(t, _target_info(t)[0]) for t in targets]
     pops, m, n = ("xyz" if with_z else "xy"), config.m, config.replicates
-    step = max(1, _CHUNK_ENTRIES // (m * m))
+    step = max(1, _CHUNK_ENTRIES // m)
     values = {t: np.empty(n) for t in targets}
     for r0 in range(0, n, step):
         reps = range(r0, min(r0 + step, n))
         ints = np.stack([replicate_rng(config.seed, r).integers(1, 1 << 53, size=len(pops) * m)
-                         for r in reps]).reshape(len(reps), len(pops), m, 1)
-        g = build_gram_pack(*(gaussian_from_ints(ints[:, i], *config.model.params(p))
-                              for i, p in enumerate(pops)), spec=_LINEAR)
+                         for r in reps]).reshape(len(reps), len(pops), m)
+        samples = {p: gaussian_from_ints(ints[:, i], *config.model.params(p))
+                   for i, p in enumerate(pops)}
+        g = GramPack(m=m, d=1, spec=_LINEAR, samples=samples, stats=_rank_one_stats(samples))
         for t, fn in fns:
             values[t][r0:reps.stop] = fn(g)
     return values

@@ -49,11 +49,16 @@ Pattern = tuple[tuple[Point, Point], ...]
 
 
 def _guard(g: GramPack) -> None:
-    if g.samples["x"].ndim != 2:
-        raise ValueError("the oracles take one dataset, not a stack of replicates")
     if g.m > ORACLE_MAX_M:
         raise ValueError(f"oracle refuses m = {g.m} > {ORACLE_MAX_M} "
                          "(patterns of four indices enumerate O(m^4) tuples)")
+
+
+def _rows(g: GramPack, a: str, b: str) -> list:
+    """``g.matrix(a, b)`` as nested lists, each computed once per pack."""
+    if (a, b) not in g._rows:  # yx and zx are the transposes of the computed xy and xz
+        g._rows[a, b] = list(zip(*_rows(g, b, a))) if a > b else g.matrix(a, b).tolist()
+    return g._rows[a, b]
 
 
 def _pattern(text: str) -> Pattern:
@@ -92,9 +97,8 @@ def _enumerate(g: GramPack, pattern: Pattern, a: str, b: str) -> float:
     pop, at = dict(order), {slot: i for i, (slot, _) in enumerate(order)}
     draws = _draws(g.m, [len(slots) for slots in groups.values()])
     factors = [(pop[p], pop[q], at[p], at[q]) for (_, p), (_, q) in pattern]
-    rows = {uv: g.matrix(*uv).tolist() for uv in {f[:2] for f in factors}}
     (u, v, i, j), *rest = factors
-    k = rows[u, v]
+    k = _rows(g, u, v)
     tot, n = 0.0, 0
     if not rest:
         for t in draws:
@@ -102,7 +106,7 @@ def _enumerate(g: GramPack, pattern: Pattern, a: str, b: str) -> float:
             n += 1
     else:
         ((u2, v2, i2, j2),) = rest
-        k2 = rows[u2, v2]
+        k2 = _rows(g, u2, v2)
         for t in draws:
             tot += k[t[i]][t[j]] * k2[t[i2]][t[j2]]
             n += 1
@@ -116,9 +120,7 @@ def oracle_mmd2(g: GramPack, pair: str = "xy") -> float:
         raise ValueError(f"pair must be 'xy' or 'xz', got {pair!r}")
     _guard(g)
     b = pair[1]
-    kaa = g.matrix("x", "x").tolist()
-    kbb = g.matrix(b, b).tolist()
-    kab = g.matrix("x", b).tolist()
+    kaa, kbb, kab = _rows(g, "x", "x"), _rows(g, b, b), _rows(g, "x", b)
     tot, n = 0.0, 0
     for i, j in permutations(range(g.m), 2):
         tot += kaa[i][j] + kbb[i][j] - kab[i][j] - kab[j][i]

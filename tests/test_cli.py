@@ -343,6 +343,19 @@ class TestCmdVerify:
         assert code == EXIT_OK
         assert list(json.loads(out)["unbiasedness"]) == ["mmd2", "ek2_xy", "mu_sq_xx"]
 
+    def test_three_sample_run_at_m_200(self, capsys):
+        """The default targets at m = 200, where the harness's aggregates
+        come from its closed forms, with enough replicates to gate on."""
+        code, out, _ = run_cli(capsys, "verify", "--replicates", "5000", "--m", "200",
+                               "--seed", "0", "--mean-z", "0.25", "--var-z", "1.0")
+        payload = json.loads(out)
+        zs = {f"{kind} {t}": e["z"] for kind in ("unbiasedness", "variance_tracking")
+              for t, e in payload[kind].items()}
+        assert set(zs) == {"unbiasedness mmd2", "unbiasedness mmd2_var", "unbiasedness diff",
+                           "unbiasedness mmd2_diff_var", "variance_tracking mmd2",
+                           "variance_tracking diff"}
+        assert code == EXIT_OK and all(abs(z) <= 4 for z in zs.values()), zs
+
     def test_mean_z_without_var_z(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--replicates", "2000",
                                "--mean-z", "0.1")

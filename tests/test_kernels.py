@@ -283,6 +283,15 @@ class TestBuildGramPack:
             build_gram_pack(x, x + 1.0, spec=spec)
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_stack_refused(self, rng, name):
+        """An (R, m, d) stack of replicates is refused in any sample's place."""
+        x, y, z = rng.normal(size=(3, 5, 2))
+        stack = rng.normal(size=(4, 5, 2))
+        for samples in ((stack, y), (x, stack), (x, y, stack)):
+            with pytest.raises(ValueError, match="one dataset, not a stack of replicates"):
+                build_gram_pack(*samples, spec=KERNEL_CASES[name])
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_entries_match_eval_kernel(self, rng, name):
         x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
         g = build_gram_pack(x, y, spec=KERNEL_CASES[name])

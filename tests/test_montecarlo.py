@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mmdvar as mv
-from mmdvar import KernelSpec, kernels, montecarlo
+from mmdvar import KernelSpec, montecarlo
 from mmdvar.montecarlo import (
     McConfig, _target_info, draw_replicate, replicate_rng, run_unbiasedness,
     run_variance_tracking, target_ids,
@@ -13,6 +13,8 @@ from mmdvar.oracle import (
     TARGETS, THREE_SAMPLE_TERM_IDS, TWO_SAMPLE_TERM_IDS, GaussianLinearModel,
     gaussian_linear_moments, population_diff_var, population_mmd2_var,
 )
+
+from test_exact_aggregates import FIELDS, gamma
 
 MODEL_XY = GaussianLinearModel(0.0, 1.0, 0.5, 2.0)
 MODEL_XYZ = GaussianLinearModel(0.0, 1.0, 0.5, 2.0, 0.25, 1.0)
@@ -90,11 +92,7 @@ class TestDeterminism:
         values = np.empty(cfg.replicates)
         fn = _target_info("mmd2")[0]
         for lo, hi in ((0, 500), (500, 1000)):
-            for rep in range(lo, hi):
-                rng = replicate_rng(cfg.seed, rep)
-                x, y, z = draw_replicate(cfg.model, cfg.m, rng, False)
-                g = mv.build_gram_pack(x, y, z)
-                values[rep] = fn(g)
+            values[lo:hi] = fn(_chunk(cfg, range(lo, hi), False)[1])
         # McConfig guards verdicts at >= 1000 replicates, so compare directly
         report = run_unbiasedness(cfg)
         assert report.entries["mmd2"].mean == float(values.mean())
@@ -178,78 +176,67 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
-class TestStackedEngine:
-    """The engine evaluates chunks of stacked replicates; every value must be
-    bit for bit what the replicate's own pack gives."""
+MODEL_XYZ_30 = GaussianLinearModel(30.0, 1.0, 30.5, 2.0, 29.0, 1.0)
 
-    @staticmethod
-    def _per_replicate(cfg, targets, with_z):
-        """Per replicate: its own stream, one ``gaussian_draw`` call per sample
-        (``draw_replicate``), its own pack and every estimator."""
-        values = {t: np.empty(cfg.replicates) for t in targets}
-        for rep in range(cfg.replicates):
-            x, y, z = draw_replicate(cfg.model, cfg.m, replicate_rng(cfg.seed, rep), with_z)
-            g = mv.build_gram_pack(x, y, z)
-            for t in targets:
-                values[t][rep] = TARGETS[t].estimate(g)
-        return values
+
+class TestRankOneEngine:
+    """The engine evaluates chunks of stacked replicates from the rank-one
+    aggregates of their scalar samples: no value may depend on how the
+    replicates are chunked, and every aggregate must agree with the
+    replicate's own pack within the exact-rational test's rounding bound."""
+
+    @pytest.mark.parametrize("model", [MODEL_XY, MODEL_XYZ, MODEL_XYZ_30],
+                             ids=["two", "three", "three_means_30"])
+    @pytest.mark.parametrize("m", [4, 5, 8, 40, 300])
+    def test_values_bit_identical_across_chunkings(self, model, m):
+        targets = target_ids(model.has_z)
+        cfg = config(model=model, m=m, replicates=1000, seed=m, targets=targets)
+        runs = []
+        for per_chunk in (None, 7, 1):  # 7 a chunk: 142 full chunks and a last one of 6
+            entries = montecarlo._CHUNK_ENTRIES if per_chunk is None else per_chunk * m
+            with mock.patch.object(montecarlo, "_CHUNK_ENTRIES", entries):
+                runs.append(montecarlo._replicate_values(cfg, targets, model.has_z))
+        for t in targets:
+            for other in runs[1:]:
+                np.testing.assert_array_equal(_bits(other[t]), _bits(runs[0][t]), err_msg=t)
 
     @pytest.mark.parametrize("model", [MODEL_XY, MODEL_XYZ], ids=["two", "three"])
     @pytest.mark.parametrize("m", [4, 5, 8, 40])
-    @pytest.mark.parametrize("per_chunk", [None, 7], ids=["one_chunk", "ragged_chunks"])
-    def test_values_match_per_replicate_packs(self, model, m, per_chunk):
+    def test_values_agree_with_per_replicate_packs(self, model, m):
+        """The harness's values are the estimators on the rank-one aggregates
+        of ``draw_replicate``'s samples, and each of those aggregates lies
+        within 2 gamma_{2m+1} S of the replicate's own pack: both lie within
+        gamma_{2m+1} S of the exact value, S the aggregate of |samples|."""
         targets = target_ids(model.has_z)
         cfg = config(model=model, m=m, replicates=1000, seed=m, targets=targets)
-        # 7 replicates a chunk: 142 full chunks and a last one of 6
-        entries = montecarlo._CHUNK_ENTRIES if per_chunk is None else per_chunk * m * m
-        with mock.patch.object(montecarlo, "_CHUNK_ENTRIES", entries):
-            got = montecarlo._replicate_values(cfg, targets, model.has_z)
-        want = self._per_replicate(cfg, targets, model.has_z)
+        got = montecarlo._replicate_values(cfg, targets, model.has_z)
+        draws, stacked = _chunk(cfg, range(cfg.replicates), model.has_z)
         for t in targets:
-            np.testing.assert_array_equal(_bits(got[t]), _bits(want[t]), err_msg=t)
+            np.testing.assert_array_equal(_bits(got[t]), _bits(TARGETS[t].estimate(stacked)),
+                                          err_msg=t)
+        closed = stacked.stats
+        scale = montecarlo._rank_one_stats({p: np.abs(a) for p, a in stacked.samples.items()})
+        bound = 2 * float(gamma(2 * m + 1))
+        for r, d in enumerate(draws):
+            for key, stats in mv.build_gram_pack(*d).stats.items():
+                for field in FIELDS:
+                    want = getattr(stats, field)
+                    have, s = (_replicate(getattr(st[key], field), r) for st in (closed, scale))
+                    assert np.all(np.abs(have - want) <= bound * s), (r, key, field)
 
-    @pytest.mark.parametrize("spec", [KernelSpec.linear(), KernelSpec.polynomial(2, coef0=1.0),
-                                      KernelSpec.constant(0.7)], ids=["linear", "poly2", "const"])
-    @pytest.mark.parametrize("m,d,block", [(5, 1, None), (40, 3, None), (40, 3, 3),
-                                           (300, 2, None), (300, 2, 7)])
-    def test_stacked_pack_matches_separate_packs(self, rng, spec, m, d, block):
-        """Every GramStats field and every estimate; m = 300 with the
-        default block holds 256 x 300 blocks, summed one matrix at a time."""
-        stack = rng.normal(size=(3, 3, m, d))  # 3 populations x 3 replicates
-        with mock.patch.object(kernels, "_BLOCK", block or kernels._BLOCK):
-            g = mv.build_gram_pack(*stack, spec=spec)
-            alone = [mv.build_gram_pack(*stack[:, r], spec=spec) for r in range(3)]
-        assert (g.m, g.d) == (m, d) and g.samples["x"].shape == (3, m, d)
-        fields = ("row_sums", "total", "frob_sq", "trace")
-        for r, one in enumerate(alone):
-            for key, stats in one.stats.items():
-                for field in fields:
-                    stacked = getattr(g.stats[key], field)  # a zero trace stays a scalar
-                    got = stacked if np.ndim(stacked) == 0 else stacked[r]
-                    np.testing.assert_array_equal(_bits(got), _bits(getattr(stats, field)),
-                                                  err_msg=f"{key}.{field}")
-            for t, row in TARGETS.items():
-                if m >= row.min_m:
-                    assert _bits(row.estimate(g)[r]) == _bits(row.estimate(one)), t
-            np.testing.assert_array_equal(g.matrix("x", "x")[r], one.matrix("x", "x"))
 
-    def test_stacked_rbf_rejected(self, rng):
-        stack = rng.normal(size=(2, 4, 5, 2))
-        for spec in (KernelSpec.rbf("median"), KernelSpec.rbf(1.0)):
-            with pytest.raises(ValueError, match="one sample at a time"):
-                mv.build_gram_pack(stack[0], stack[1], spec=spec)
-        with pytest.raises(ValueError):  # cdist takes 2-d arrays only
-            mv.kernel_matrix(KernelSpec.rbf(1.0), stack[0], stack[1])
+def _chunk(cfg, reps, with_z):
+    """Each replicate's ``draw_replicate`` samples, and the pack of their
+    stacked rank-one aggregates that the harness evaluates."""
+    draws = [draw_replicate(cfg.model, cfg.m, replicate_rng(cfg.seed, r), with_z) for r in reps]
+    samples = {p: np.stack([d[i][:, 0] for d in draws]) for i, p in enumerate("xyz"[:2 + with_z])}
+    return draws, mv.GramPack(m=cfg.m, d=1, spec=KernelSpec.linear(), samples=samples,
+                              stats=montecarlo._rank_one_stats(samples))
 
-    def test_non_finite_stack_rejected(self, rng):
-        stack = rng.normal(size=(2, 4, 5, 1))
-        stack[1, 2, 3, 0] = np.nan
-        with pytest.raises(ValueError, match="not finite"):
-            mv.build_gram_pack(stack[0], stack[1])
 
-    def test_mismatched_stacks_rejected(self, rng):
-        with pytest.raises(ValueError, match="stacks differ"):
-            mv.build_gram_pack(rng.normal(size=(4, 5, 1)), rng.normal(size=(3, 5, 1)))
+def _replicate(value, r):
+    """Replicate r's value of a stacked aggregate; a zero trace stays a scalar."""
+    return value if np.ndim(value) == 0 else value[r]
 
 
 class TestOutputTypes:

@@ -70,12 +70,6 @@ class TestOracleLoops:
         with pytest.raises(ValueError, match="oracle refuses"):
             oracle_term(g, "mu_xx")
 
-    def test_stacked_pack_refused(self, rng):
-        g = build_gram_pack(*rng.normal(size=(2, 3, 5, 1)))  # 3 stacked replicates
-        for evaluate in (lambda: oracle_term(g, "mu_xx"), lambda: oracle_mmd2(g)):
-            with pytest.raises(ValueError, match="one dataset, not a stack of replicates"):
-                evaluate()
-
     def test_unknown_term(self):
         with pytest.raises(ValueError, match="unknown term"):
             oracle_term(pack123(), "nope")
