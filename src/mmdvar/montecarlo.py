@@ -16,22 +16,26 @@ making reports bit-identical for identical configs.
 
 Replicates are evaluated in chunks, stacked: each replicate of a chunk
 draws its samples in one call on its own stream, and the chunk's draws are
-mapped to Gaussians population by population.  Under k(x, y) = xy every
-kernel matrix is rank one, so the aggregates the estimators read have
-closed forms, O(m) per replicate (:func:`_rank_one_stats`); each target's
-estimator runs once on the chunk's.  No value depends on the chunking, and
-each aggregate is within rounding of the replicate's own Gram pack.  On a
-2-vCPU VM, at m = 8 with three samples and all 35 targets a replicate
-costs about 21 us: 12 us construct its Philox generator, 7 us draw and map
-its samples.  ``mmdvar verify`` with a z model and both passes takes
-about 4 s at m = 8, 12 s at m = 200 and 39 s at m = 1000, at 10^5
-replicates (peak RSS about 60 MB; a pass keeps 8 bytes per replicate and
-target).
+mapped to Gaussians population by population.  A pass makes one Philox
+and re-keys it (seed, r) for each replicate instead of building one.
+Under k(x, y) = xy every kernel matrix is rank one, so the aggregates the
+estimators read have closed forms, O(m) per replicate
+(:func:`_rank_one_stats`); each target's estimator runs once on the
+chunk's.  No value depends on the chunking, and each aggregate is within
+rounding of the replicate's own Gram pack.  On a 2-vCPU VM, at m = 8 with
+three samples and all 35 targets a replicate costs about 8.5 us: 0.5 us
+re-key the Philox, 5 us draw its samples, and under 1 us each map them,
+form the aggregates and run the estimators (a generator built per
+replicate cost 11 us more).  ``mmdvar verify`` with a z model and both
+passes takes about 2.2 s at m = 8, 8.5 s at m = 200 and 36 s at
+m = 1000, at 10^5 replicates (peak RSS about 60 MB; a pass keeps 8 bytes
+per replicate and target).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -82,8 +86,11 @@ class McConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", tuple(dict.fromkeys(self.targets)))
         for name in ("m", "replicates", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # Python ints: a NumPy seed's mod-2**64 mask would overflow, and echo() is JSON
+            object.__setattr__(self, name, int(value))
         if self.replicates < MIN_REPLICATES:
             raise ValueError(
                 f"replicates below minimum ({MIN_REPLICATES}) for a pass/fail verdict")
@@ -113,9 +120,10 @@ class McConfig:
                 "rng": "philox(seed, replicate)"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class McEntry:
-    """Verdict for one target: replicate average vs population truth."""
+    """Verdict for one target: replicate average vs population truth (slotted:
+    a report keeps one small object per target)."""
 
     mean: float
     se: float
@@ -135,9 +143,18 @@ class McReport:
         return all(e.passed for e in self.entries.values())
 
 
+def _u64(seed: int) -> int:
+    """The seed as Philox's first key word: seed mod 2**64."""
+    return operator.index(seed) & 0xFFFFFFFFFFFFFFFF
+
+
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    """Counter-based stream for one replicate: Philox keyed (seed, replicate)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, replicate], dtype=np.uint64)
+    """Counter-based stream for one replicate: Philox keyed (seed, replicate).
+
+    The reference for every replicate's draws; the harness reproduces it bit
+    for bit by re-keying one Philox instead of building one per replicate.
+    """
+    key = np.array([_u64(seed), replicate], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -199,16 +216,28 @@ def _replicate_values(config: McConfig, targets: tuple[str, ...],
     """Every target's value on every replicate, over chunks of stacked replicates.
 
     One ``integers`` call per replicate draws what :func:`draw_replicate`
-    draws in one call per sample, in the same order.
+    draws in one call per sample, in the same order, from the stream of
+    :func:`replicate_rng`.
     """
     fns = [(t, _target_info(t)[0]) for t in targets]
     pops, m, n = ("xyz" if with_z else "xy"), config.m, config.replicates
     step = max(1, _CHUNK_ENTRIES // m)
     values = {t: np.empty(n) for t in targets}
+    # one Philox per call, re-keyed for each replicate to the state
+    # Philox(key=(seed, r)) starts in: counter 0, an empty buffer
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [_u64(config.seed), 0]},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+
+    def draw(r: int) -> np.ndarray:
+        state["state"]["key"][1] = r
+        bits.state = state
+        return rng.integers(1, 1 << 53, size=len(pops) * m)
+
     for r0 in range(0, n, step):
         reps = range(r0, min(r0 + step, n))
-        ints = np.stack([replicate_rng(config.seed, r).integers(1, 1 << 53, size=len(pops) * m)
-                         for r in reps]).reshape(len(reps), len(pops), m)
+        ints = np.stack([draw(r) for r in reps]).reshape(len(reps), len(pops), m)
         samples = {p: gaussian_from_ints(ints[:, i], *config.model.params(p))
                    for i, p in enumerate(pops)}
         g = GramPack(m=m, d=1, spec=_LINEAR, samples=samples, stats=_rank_one_stats(samples))

@@ -379,7 +379,7 @@ class TestCmdVerify:
         'mmd2_var': verify refuses before either pass draws a replicate."""
         def no_draws(*args):
             raise AssertionError("a replicate was drawn")
-        monkeypatch.setattr(montecarlo, "replicate_rng", no_draws)
+        monkeypatch.setattr(montecarlo, "_replicate_values", no_draws)
         code, out, err = run_cli(capsys, "verify", "--targets", "mmd2", "--m", "3")
         assert code == EXIT_INPUT and out == ""
         assert "'mmd2_var'" in err and "m >= 4" in err
@@ -390,7 +390,7 @@ class TestCmdVerify:
         serialise; verify refuses it before either pass draws a replicate."""
         def no_draws(*args):
             raise AssertionError("a replicate was drawn")
-        monkeypatch.setattr(montecarlo, "replicate_rng", no_draws)
+        monkeypatch.setattr(montecarlo, "_replicate_values", no_draws)
         code, out, err = run_cli(capsys, "verify", "--z-threshold", value)
         assert code == EXIT_INPUT and out == ""
         assert "z_threshold must be positive and finite" in err

@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -57,6 +58,16 @@ class TestConfigValidation:
     def test_non_integer_refused_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             config(**{field: value})
+
+    def test_numpy_integers_become_python_ints(self):
+        """A NumPy seed would overflow int64 under the seed's mod-2**64 mask,
+        and would not serialise in the echoed config."""
+        numpy_cfg = config(m=np.int64(6), replicates=np.uint32(1500), seed=np.int64(-5))
+        for name, want in (("m", 6), ("replicates", 1500), ("seed", -5)):
+            assert type(getattr(numpy_cfg, name)) is int and getattr(numpy_cfg, name) == want
+        got, want = run_unbiasedness(numpy_cfg), run_unbiasedness(config(seed=-5))
+        assert json.dumps(got.config) == json.dumps(want.config)
+        assert repr(got) == repr(want)  # every float's repr round-trips its bits
 
     def test_targets_deduped_in_order(self):
         c = config(targets=("mmd2", "ek2_xy", "mmd2"))
@@ -223,6 +234,38 @@ class TestRankOneEngine:
                     want = getattr(stats, field)
                     have, s = (_replicate(getattr(st[key], field), r) for st in (closed, scale))
                     assert np.all(np.abs(have - want) <= bound * s), (r, key, field)
+
+
+class TestReKeyedStreams:
+    """The harness re-keys one Philox per replicate instead of building
+    :func:`replicate_rng`'s generator; its draws must be that generator's, bit
+    for bit, on 10^5 (seed, replicate) pairs.  The word counts, 14 and 27, are
+    not multiples of Philox's four-word block, so a re-key that kept the
+    previous replicate's buffered words would show; chunks of 997 replicates
+    put a chunk boundary inside each run."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, -1, -5, np.uint64(2**63 + 5)],
+                             ids=["0", "2**64-1", "-1", "-5", "uint64"])
+    @pytest.mark.parametrize("model,m", [(MODEL_XY, 7), (MODEL_XYZ, 9)], ids=["w14", "w27"])
+    def test_draws_equal_replicate_rng(self, seed, model, m):
+        n, words = 10_000, (2 + model.has_z) * m
+        cfg = McConfig(model=model, m=m, replicates=n, seed=seed, targets=("mmd2",))
+        mapped, gaussian_from_ints = [], montecarlo.gaussian_from_ints
+
+        def record(ints, *params):
+            mapped.append(ints)
+            return gaussian_from_ints(ints, *params)
+
+        with mock.patch.object(montecarlo, "_CHUNK_ENTRIES", 997 * m), \
+                mock.patch.object(montecarlo, "gaussian_from_ints", record):
+            montecarlo._replicate_values(cfg, (), model.has_z)  # draws, evaluates nothing
+        k = words // m  # one call per sample and chunk, in the order x, y, z
+        got = np.concatenate([np.stack(mapped[i:i + k], axis=1)
+                              for i in range(0, len(mapped), k)]).reshape(n, words)
+        want = np.stack([replicate_rng(seed, r).integers(1, 1 << 53, size=words)
+                         for r in range(n)])
+        assert len(mapped) == k * -(-n // 997)
+        np.testing.assert_array_equal(got, want)
 
 
 def _chunk(cfg, reps, with_z):
